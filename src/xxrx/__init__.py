@@ -6,14 +6,13 @@ valley-free sequences and their partition-pair encoding, exact and
 asymptotic count tables, brute-force oracles, and the quadruple-family
 predicate, plus a CLI (``xxrx``) wiring it all together.
 
-Hot kernels run from a compiled extension when it is built; a pure
-Python fallback with identical behavior is selected otherwise.  Set
-XXRX_BACKEND=python or XXRX_BACKEND=compiled to force one.
+The kernels (pattern scan, profile extraction, membership) are pure
+Python, in one module; ``BACKEND`` names it.
 """
 
 __version__ = "0.1.0"
 
-from ._backend import BACKEND, HAVE_COMPILED, available_backends
+from ._backend import BACKEND, available_backends
 from .bruteforce import (
     MAX_BRUTE_SEQ_WEIGHT,
     MAX_BRUTE_WORD_LEN,
@@ -84,13 +83,11 @@ from .words import (
     check_word,
     complement,
     find_xxrx_instance,
-    find_xxxr_instance,
     reverse,
 )
 
 __all__ = [
     "BACKEND",
-    "HAVE_COMPILED",
     "available_backends",
     "MAX_BRUTE_SEQ_WEIGHT",
     "MAX_BRUTE_WORD_LEN",
@@ -149,7 +146,6 @@ __all__ = [
     "check_word",
     "complement",
     "find_xxrx_instance",
-    "find_xxxr_instance",
     "reverse",
     "__version__",
 ]

@@ -1,62 +1,17 @@
-"""Kernel selection: the compiled extension when built, else pure Python.
+"""The kernels the package calls, from the pure-Python module ``_scan_py``.
 
-Set XXRX_BACKEND=python to force the fallback even when the extension is
-available (the benchmark uses this to compare the two).
+``BACKEND`` and ``available_backends()`` name that kernel module for
+reports and benchmark records.
 """
 
 from __future__ import annotations
 
-import os
+from ._scan_py import is_member, profile_of, scan_xxrx
 
-from . import _scan_py
+__all__ = ["BACKEND", "available_backends", "is_member", "profile_of", "scan_xxrx"]
 
-_forced = os.environ.get("XXRX_BACKEND")
-if _forced not in (None, "", "python", "compiled"):
-    raise ImportError(f"XXRX_BACKEND must be 'python' or 'compiled', not {_forced!r}")
-
-if _forced == "python":
-    _impl = _scan_py
-    HAVE_COMPILED = False
-else:
-    try:
-        from . import _scan as _impl  # type: ignore[no-redef]
-
-        HAVE_COMPILED = True
-    except ImportError:
-        if _forced == "compiled":
-            raise
-        _impl = _scan_py
-        HAVE_COMPILED = False
-
-BACKEND = "compiled" if HAVE_COMPILED else "python"
-
-scan_xxrx = _impl.scan_xxrx
-scan_xxxr = _impl.scan_xxxr
-profile_of = _impl.profile_of
-is_member = _impl.is_member
-count_members = _impl.count_members
+BACKEND = "python"
 
 
 def available_backends() -> list[str]:
-    names = ["python"]
-    try:
-        from . import _scan  # noqa: F401
-    except ImportError:
-        pass
-    else:
-        names.append("compiled")
-    return names
-
-
-def get_impl(name: str = "auto"):
-    """Kernel module for an explicit backend name ('auto', 'python',
-    'compiled')."""
-    if name == "auto":
-        return _impl
-    if name == "python":
-        return _scan_py
-    if name == "compiled":
-        from . import _scan
-
-        return _scan
-    raise ValueError(f"unknown backend {name!r}")
+    return [BACKEND]

@@ -1,8 +1,6 @@
-"""Pure-Python scan kernels.
+"""Pure-Python scan kernels, re-exported by ``_backend``.
 
-Fallback twin of the compiled module ``_scan``; the selector in
-``_backend`` picks whichever is importable.  Words arrive as ASCII bytes
-of b'0'/b'1' (callers validate the alphabet).
+Words arrive as ASCII bytes of b'0'/b'1' (callers validate the alphabet).
 """
 
 from __future__ import annotations
@@ -28,25 +26,6 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
         for i in range(n - 3 * t + 1):
             x = w[i:i + t]
             if w[i + t:i + 2 * t] == x[::-1] and w[i + 2 * t:i + 3 * t] == x:
-                return (i, t)
-    return None
-
-
-def scan_xxxr(w: bytes) -> tuple[int, int] | None:
-    """First (block length, then start) occurrence of x x x^R, or None."""
-    n = len(w)
-    if n < 3:
-        return None
-    i0 = w.find(b"000")
-    i1 = w.find(b"111")
-    if i0 >= 0 and (i1 < 0 or i0 < i1):
-        return (i0, 1)
-    if i1 >= 0:
-        return (i1, 1)
-    for t in range(2, n // 3 + 1):
-        for i in range(n - 3 * t + 1):
-            x = w[i:i + t]
-            if w[i + t:i + 2 * t] == x and w[i + 2 * t:i + 3 * t] == x[::-1]:
                 return (i, t)
     return None
 
@@ -80,20 +59,3 @@ def is_member(w: bytes) -> bool:
     return not any(
         prof[j - 1] >= prof[j] <= prof[j + 1] for j in range(1, len(prof) - 1)
     )
-
-
-def count_members(n: int) -> int:
-    """Number of length-n words with no x x^R x instance, by full
-    enumeration of all 2^n words with the direct scan."""
-    if n < 0:
-        raise ValueError("length must be nonnegative")
-    if n > 60:
-        raise ValueError("enumeration limited to n <= 60")
-    if n == 0:
-        return 1
-    fmt = f"0{n}b"
-    count = 0
-    for v in range(1 << n):
-        if scan_xxrx(format(v, fmt).encode("ascii")) is None:
-            count += 1
-    return count

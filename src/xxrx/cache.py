@@ -2,14 +2,19 @@
 
 One CSV per column under a cache directory (XXRX_CACHE_DIR overrides the
 default under the user cache home).  Files begin with a version stamp
-line; anything unreadable, unparsable, or differently stamped is treated
-as absent.  Cache failures never propagate: the worst case is a
-recompute.
+line and end with a trailer holding the row count, so a file cut short
+reads as incomplete rather than as a shorter column.  Anything
+unreadable, unparsable, differently stamped, or without its trailer is
+treated as absent.  Files are written to a temporary name and renamed
+into place, so readers never see a partial write.  Cache failures never
+propagate: the worst case is a recompute.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
+import tempfile
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -18,7 +23,7 @@ from .counting import CountTable
 __all__ = ["ENV_CACHE_DIR", "STAMP", "cache_dir", "cached_table", "load_column", "store_column"]
 
 ENV_CACHE_DIR = "XXRX_CACHE_DIR"
-STAMP = "# xxrx tables v1"
+STAMP = "# xxrx tables v2"
 _COLUMNS = ("u_tilde", "v", "c")
 
 
@@ -31,6 +36,10 @@ def cache_dir() -> Path:
     return base / "xxrx"
 
 
+def _trailer(rows: int) -> str:
+    return f"# rows {rows}"
+
+
 def load_column(name: str) -> list[int] | None:
     """Cached values of one column, or None if absent or invalid."""
     path = cache_dir() / f"{name}.csv"
@@ -38,10 +47,15 @@ def load_column(name: str) -> list[int] | None:
         lines = path.read_text().splitlines()
     except OSError:
         return None
-    if len(lines) < 2 or lines[0] != STAMP or lines[1] != f"n,{name}":
+    if (
+        len(lines) < 3
+        or lines[0] != STAMP
+        or lines[1] != f"n,{name}"
+        or lines[-1] != _trailer(len(lines) - 3)
+    ):
         return None
     values = []
-    for i, line in enumerate(lines[2:]):
+    for i, line in enumerate(lines[2:-1]):
         parts = line.split(",")
         if len(parts) != 2:
             return None
@@ -62,10 +76,19 @@ def store_column(name: str, values: Sequence[int]) -> None:
         return
     lines = [STAMP, f"n,{name}"]
     lines.extend(f"{n},{v}" for n, v in enumerate(values))
+    lines.append(_trailer(len(values)))
     try:
         directory = cache_dir()
         directory.mkdir(parents=True, exist_ok=True)
-        (directory / f"{name}.csv").write_text("\n".join(lines) + "\n")
+        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "w") as f:
+                f.write("\n".join(lines) + "\n")
+            os.replace(tmp, directory / f"{name}.csv")
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError:
         pass
 

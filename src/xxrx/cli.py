@@ -9,13 +9,14 @@ that cannot be parsed at all.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import __version__
 from .bench import run_benchmark
 from .bruteforce import cross_check
 from .cache import cached_table
-from .counting import COLUMN_ALIASES, asymptotic_u_tilde
+from .counting import COLUMN_ALIASES, AsymptoticEstimate, asymptotic_u_tilde
 from .factorization import (
     FactorDomainError,
     ProfileError,
@@ -108,6 +109,24 @@ def cmd_gf(args: argparse.Namespace) -> int:
     return _emit_table(args.limit, "u", args.format)
 
 
+def _format_estimate(est: AsymptoticEstimate) -> str:
+    """The float's repr while it is finite, else mantissa and power of
+    ten taken from the logarithm.
+
+    A double-precision logarithm L fixes the mantissa to about
+    15 - log10(L) significant digits, so the printed decimals shrink as
+    the exponent grows.
+    """
+    if math.isfinite(est.value):
+        return repr(est.value)
+    exponent = math.floor(est.log10_value)
+    decimals = max(0, 13 - len(str(exponent)))
+    mantissa = round(10.0 ** (est.log10_value - exponent), decimals)
+    if mantissa >= 10.0:
+        mantissa, exponent = mantissa / 10.0, exponent + 1
+    return f"{mantissa:.{decimals}f}e+{exponent}"
+
+
 def cmd_asym(args: argparse.Namespace) -> int:
     if args.n < 1:
         return _fail("n must be at least 1")
@@ -115,7 +134,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
     if args.n <= _ASYM_EXACT_LIMIT:
         exact = cached_table(args.n).u_tilde[args.n]
     est = asymptotic_u_tilde(args.n, exact)
-    line = f"n={est.n} estimate={est.value!r}"
+    line = f"n={est.n} estimate={_format_estimate(est)}"
     if exact is not None:
         line += f" exact={exact} rel_err={est.relative_error_vs_exact:.6e}"
     print(line)

@@ -16,6 +16,7 @@ Three sequences are tabulated with arbitrary-precision integers:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -28,6 +29,8 @@ __all__ = [
     "type2_counts",
     "verify_bounds",
 ]
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 COLUMN_ALIASES = {"u": "u_tilde", "u_tilde": "u_tilde", "v": "v", "c": "c"}
 
@@ -121,17 +124,35 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
+def _log_estimate(n: int) -> float:
+    """Natural logarithm of the estimate of u_tilde(n), finite for all n >= 1."""
+    m = 24 * n - 1
+    root = math.sqrt(m)
+    return (
+        0.5 * math.log(3.0)
+        - 0.75 * math.log(m)
+        + math.pi / 6.0 * root
+        + math.log1p((math.pi**2 - 9.0) / (4.0 * math.pi * root))
+    )
+
+
 @dataclass(frozen=True)
 class AsymptoticEstimate:
     """Closed-form estimate of u_tilde(n), first correction term included.
 
     The next correction of order 1/n is dropped; relative_error_vs_exact
-    is filled only when the caller supplies the exact value.
+    is filled only when the caller supplies the exact value.  value is
+    math.inf once the estimate exceeds the float range (n above about
+    78800); log10_value holds it at every n.
     """
 
     n: int
     value: float
     relative_error_vs_exact: float | None = None
+
+    @property
+    def log10_value(self) -> float:
+        return _log_estimate(self.n) / math.log(10.0)
 
 
 def asymptotic_u_tilde(n: int, exact: int | None = None) -> AsymptoticEstimate:
@@ -141,13 +162,24 @@ def asymptotic_u_tilde(n: int, exact: int | None = None) -> AsymptoticEstimate:
         raise ValueError("estimate defined for n >= 1 only")
     m = 24 * n - 1
     root = math.sqrt(m)
-    value = (
-        math.sqrt(3.0)
-        * m ** -0.75
-        * math.exp(math.pi / 6.0 * root)
-        * (1.0 + (math.pi**2 - 9.0) / (4.0 * math.pi * root))
-    )
-    err = None if exact is None else abs(value / exact - 1.0)
+    try:
+        value = (
+            math.sqrt(3.0)
+            * m ** -0.75
+            * math.exp(math.pi / 6.0 * root)
+            * (1.0 + (math.pi**2 - 9.0) / (4.0 * math.pi * root))
+        )
+    except OverflowError:
+        # the exponential alone leaves the float range a little before
+        # the whole product does; past that, only the logarithm is kept
+        log_value = _log_estimate(n)
+        value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+    if exact is None:
+        err = None
+    elif math.isinf(value) or exact > sys.float_info.max:
+        err = abs(math.expm1(_log_estimate(n) - math.log(exact)))
+    else:
+        err = abs(value / exact - 1.0)
     return AsymptoticEstimate(n, value, err)
 
 

@@ -1,7 +1,7 @@
 """Binary words and definition-level pattern-instance search.
 
 Words are plain strings over {'0', '1'}; the empty string is the empty
-word.  The instance finders try every block length t and start i in
+word.  The instance finder tries every block length t and start i in
 (t, i) order, so the first hit is the one with minimal block length,
 ties broken by minimal start.  This quadratic scan is the reference that
 the linear recognizer in ``factorization`` is checked against.
@@ -19,7 +19,6 @@ __all__ = [
     "check_word",
     "complement",
     "find_xxrx_instance",
-    "find_xxxr_instance",
     "reverse",
 ]
 
@@ -57,13 +56,6 @@ def find_xxrx_instance(w: str) -> PatternInstance | None:
     again.  Minimal block length wins, then minimal start; None if the
     word avoids the pattern."""
     hit = _backend.scan_xxrx(check_word(w).encode("ascii"))
-    return None if hit is None else PatternInstance(*hit)
-
-
-def find_xxxr_instance(w: str) -> PatternInstance | None:
-    """Earliest instance of x x x^R, same tie-breaking.  Only used as a
-    comparison baseline; the library's enumeration targets x x^R x."""
-    hit = _backend.scan_xxxr(check_word(w).encode("ascii"))
     return None if hit is None else PatternInstance(*hit)
 
 

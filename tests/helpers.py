@@ -21,16 +21,6 @@ def ref_find_xxrx(w: str) -> tuple[int, int] | None:
     return None
 
 
-def ref_find_xxxr(w: str) -> tuple[int, int] | None:
-    n = len(w)
-    for t in range(1, n // 3 + 1):
-        for i in range(n - 3 * t + 1):
-            x = w[i : i + t]
-            if w[i + t : i + 2 * t] == x and w[i + 2 * t : i + 3 * t] == x[::-1]:
-                return (i, t)
-    return None
-
-
 def ref_profile(w: str) -> tuple[int, ...]:
     """Block profile by walking runs: a new block starts at each doubled
     letter, and the doubled letter is counted once in each block."""

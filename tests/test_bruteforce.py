@@ -7,6 +7,7 @@ from xxrx import (
     avoids_xxrx_naive,
     brute_count_words,
     brute_count_x,
+    count_c,
     cross_check,
     iter_words_in_l,
     iter_x_sequences,
@@ -17,6 +18,12 @@ def test_brute_count_words_examples():
     assert brute_count_words(0) == 1
     assert brute_count_words(5) == 16
     assert brute_count_words(8) == 50
+
+
+def test_brute_count_words_reaches_the_length_cap():
+    c = count_c(24)
+    for n in range(21, 25):
+        assert brute_count_words(n) == c[n]
 
 
 def test_brute_count_words_guard():
@@ -51,7 +58,7 @@ def test_iter_x_sequences_equals_unpruned_filter():
 
 
 def test_iter_words_in_l_matches_naive_filter():
-    for n in range(11):
+    for n in range(15):
         expected = [w for w in _all(n) if avoids_xxrx_naive(w)]
         assert list(iter_words_in_l(n)) == expected
         zero = [w for w in expected if not w or w[0] == "0"]

@@ -85,3 +85,16 @@ def test_unwritable_cache_is_silent(monkeypatch, tmp_path):
 def test_cache_is_isolated_per_test():
     # the autouse fixture points XXRX_CACHE_DIR at a fresh tmp dir
     assert not Path(cache_dir()).exists() or not list(Path(cache_dir()).iterdir())
+
+
+def test_truncated_files_are_rebuilt():
+    full = cached_table(50)
+    for name in ("u_tilde", "v", "c"):
+        path = cache_dir() / f"{name}.csv"
+        path.write_text(path.read_text()[:-5])
+        assert load_column(name) is None
+    assert cached_table(50) == full
+    for name in ("u_tilde", "v", "c"):
+        assert load_column(name) == list(full.column(name))
+    # the rebuild leaves no temporary files behind
+    assert sorted(p.name for p in cache_dir().iterdir()) == ["c.csv", "u_tilde.csv", "v.csv"]

@@ -133,6 +133,13 @@ def test_asym_with_exact(capsys):
     assert "rel_err=" in out
 
 
+def test_asym_beyond_float_range(capsys):
+    # mantissa pinned from a 50-digit evaluation of the same formula
+    code, out, err = run(capsys, "asym", "100000")
+    assert code == 0 and err == ""
+    assert out == "n=100000 estimate=5.4176144942e+347\n"
+
+
 def test_asym_domain(capsys):
     code, _, err = run(capsys, "asym", "0")
     assert code == 2 and "error" in err

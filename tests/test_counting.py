@@ -115,6 +115,18 @@ def test_asymptotic_error_shrinks():
     assert err500 < err50
 
 
+def test_asymptotic_beyond_float_range():
+    # exp() alone overflows from n ~ 76600, the product from n ~ 78900
+    for n in (60000, 77000):
+        est = asymptotic_u_tilde(n)
+        assert math.isfinite(est.value)
+        assert math.isclose(math.log10(est.value), est.log10_value, rel_tol=1e-14)
+    est = asymptotic_u_tilde(100000, 5 * 10**347)
+    assert est.value == math.inf
+    assert math.isclose(est.log10_value, math.log10(5.41761449423769) + 347, rel_tol=1e-14)
+    assert math.isclose(est.relative_error_vs_exact, 5.41761449423769 / 5 - 1, rel_tol=1e-9)
+
+
 def test_asymptotic_domain():
     with pytest.raises(ValueError):
         asymptotic_u_tilde(0)

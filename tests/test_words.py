@@ -2,14 +2,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_words, ref_find_xxrx, ref_find_xxxr
+from helpers import all_words, ref_find_xxrx
 from xxrx import (
     PatternInstance,
     avoids_xxrx_naive,
     check_word,
     complement,
     find_xxrx_instance,
-    find_xxxr_instance,
     reverse,
 )
 
@@ -44,12 +43,6 @@ def test_avoids_examples():
     assert not avoids_xxrx_naive("010110100101")
 
 
-def test_find_xxxr_examples():
-    assert find_xxxr_instance("000") == PatternInstance(0, 1)
-    assert find_xxxr_instance("010101") is None
-    assert find_xxxr_instance("") is None
-
-
 def test_complement_reverse_examples():
     assert complement("010") == "101"
     assert reverse("0010") == "0100"
@@ -67,16 +60,6 @@ def test_instance_search_matches_reference_exhaustively():
         for w in all_words(n):
             expected = ref_find_xxrx(w)
             got = find_xxrx_instance(w)
-            assert (got is None) == (expected is None)
-            if got is not None:
-                assert (got.start, got.block_len) == expected
-
-
-def test_xxxr_search_matches_reference_exhaustively():
-    for n in range(13):
-        for w in all_words(n):
-            expected = ref_find_xxxr(w)
-            got = find_xxxr_instance(w)
             assert (got is None) == (expected is None)
             if got is not None:
                 assert (got.start, got.block_len) == expected
