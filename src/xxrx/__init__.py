@@ -39,7 +39,6 @@ from .factorization import (
     Factorization,
     ProfileError,
     factorize,
-    format_profile,
     is_in_l_linear,
     parse_profile,
     profile,
@@ -110,7 +109,6 @@ __all__ = [
     "Factorization",
     "ProfileError",
     "factorize",
-    "format_profile",
     "is_in_l_linear",
     "parse_profile",
     "profile",

@@ -53,9 +53,10 @@ def profile_of(w: bytes) -> list[int]:
 def is_member(w: bytes) -> bool:
     """Linear-time membership in the xx^Rx-avoiding language: no triple
     letter and a valley-free profile."""
-    if b"000" in w or b"111" in w:
+    try:
+        prof = profile_of(w)
+    except ValueError:
         return False
-    prof = profile_of(w)
     return not any(
         prof[j - 1] >= prof[j] <= prof[j + 1] for j in range(1, len(prof) - 1)
     )

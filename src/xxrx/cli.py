@@ -13,7 +13,6 @@ import math
 import sys
 
 from . import __version__
-from .bench import run_benchmark
 from .bruteforce import cross_check
 from .cache import cached_table
 from .counting import COLUMN_ALIASES, AsymptoticEstimate, asymptotic_u_tilde
@@ -21,14 +20,14 @@ from .factorization import (
     FactorDomainError,
     ProfileError,
     factorize,
-    format_profile,
     is_in_l_linear,
     parse_profile,
     reconstruct,
 )
 from .intersect import verify_intersection_claim
 from .oeis import KNOWN_SEQUENCE_IDS, BFileParseError, compare_values, format_bfile, read_bfile
-from .words import avoids_xxrx_naive, check_word, find_xxrx_instance
+from .sequences import format_sequence
+from .words import find_xxrx_instance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -36,6 +35,9 @@ EXIT_USAGE = 2
 
 # exact values accompany the asymptotic estimate up to this index
 _ASYM_EXACT_LIMIT = 1000
+# from here on (n ~ 1e30) a double-precision logarithm no longer fixes
+# the last digit of the estimate's power of ten
+_ASYM_LOG10_LIMIT = 1e15
 
 
 def _fail(message: str) -> int:
@@ -45,14 +47,13 @@ def _fail(message: str) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     try:
-        word = check_word(args.word)
+        in_l = is_in_l_linear(args.word)
     except ValueError as exc:
         return _fail(str(exc))
-    in_l = avoids_xxrx_naive(word) if args.naive else is_in_l_linear(word)
     if in_l:
         print("IN_L")
         return EXIT_OK
-    instance = find_xxrx_instance(word)
+    instance = find_xxrx_instance(args.word)
     print(f"instance ({instance.start},{instance.block_len})")
     return EXIT_FAIL
 
@@ -65,7 +66,7 @@ def cmd_factor(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     except ValueError as exc:
         return _fail(str(exc))
-    print(f"start={f.start_letter or '-'} profile={format_profile(f.profile)}")
+    print(f"start={f.start_letter or '-'} profile={format_sequence(f.profile)}")
     return EXIT_OK
 
 
@@ -83,30 +84,22 @@ def cmd_invert(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_table(limit: int, column: str | None, fmt: str) -> int:
-    if limit < 0:
+def cmd_count(args: argparse.Namespace) -> int:
+    if args.limit < 0:
         return _fail("N must be nonnegative")
-    table = cached_table(limit)
-    if fmt == "bfile":
-        name = COLUMN_ALIASES[column or "c"]
+    table = cached_table(args.limit)
+    if args.format == "bfile":
+        name = COLUMN_ALIASES[args.column or "c"]
         sys.stdout.write(format_bfile(table.column(name)))
-    elif column is None:
+    elif args.column is None:
         sys.stdout.write(table.to_csv())
     else:
-        name = COLUMN_ALIASES[column]
+        name = COLUMN_ALIASES[args.column]
         values = table.column(name)
         lines = [f"n,{name}"]
-        lines.extend(f"{n},{values[n]}" for n in range(limit + 1))
+        lines.extend(f"{n},{values[n]}" for n in range(args.limit + 1))
         sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
-
-
-def cmd_count(args: argparse.Namespace) -> int:
-    return _emit_table(args.limit, args.column, args.format)
-
-
-def cmd_gf(args: argparse.Namespace) -> int:
-    return _emit_table(args.limit, "u", args.format)
 
 
 def _format_estimate(est: AsymptoticEstimate) -> str:
@@ -134,6 +127,13 @@ def cmd_asym(args: argparse.Namespace) -> int:
     if args.n <= _ASYM_EXACT_LIMIT:
         exact = cached_table(args.n).u_tilde[args.n]
     est = asymptotic_u_tilde(args.n, exact)
+    if est.log10_value >= _ASYM_LOG10_LIMIT:
+        print(
+            "error: n too large: the estimate's power of ten reaches 10^15, where a "
+            "double-precision logarithm no longer fixes its last digit (n ~ 1e30)",
+            file=sys.stderr,
+        )
+        return EXIT_FAIL
     line = f"n={est.n} estimate={_format_estimate(est)}"
     if exact is not None:
         line += f" exact={exact} rel_err={est.relative_error_vs_exact:.6e}"
@@ -189,23 +189,6 @@ def cmd_oeis_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        report = run_benchmark(
-            max_len=args.max_len,
-            samples=args.samples,
-            seed=args.seed,
-            naive_cutoff=args.naive_cutoff,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    sys.stdout.write(report.as_text())
-    return EXIT_OK
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xxrx",
@@ -216,7 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="test one word for membership")
     p.add_argument("word", help="binary word, e.g. 010110; empty string is the empty word")
-    p.add_argument("--naive", action="store_true", help="use the direct instance scan")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("factor", help="print start letter and block profile of a word")
@@ -239,11 +221,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("gf", help="emit the series coefficients of column u up to N")
-    p.add_argument("limit", type=int, metavar="N")
-    p.add_argument("--format", choices=["csv", "bfile"], default="csv")
-    p.set_defaults(func=cmd_gf)
-
     p = sub.add_parser("asym", help="asymptotic estimate of u(n), with exact error when cheap")
     p.add_argument("n", type=int)
     p.set_defaults(func=cmd_asym)
@@ -265,19 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=1000, help="largest index to compare")
     p.add_argument("--offset", type=int, default=0, help="index of the first local value")
     p.set_defaults(func=cmd_oeis_compare)
-
-    p = sub.add_parser("bench", help="time the recognizers on random words")
-    p.add_argument("--max-len", type=int, default=1000, dest="max_len")
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--naive-cutoff",
-        type=int,
-        default=4096,
-        dest="naive_cutoff",
-        help="skip the direct scan on words longer than this",
-    )
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_FLOAT_MAX_INT = int(sys.float_info.max)
 
 COLUMN_ALIASES = {"u": "u_tilde", "u_tilde": "u_tilde", "v": "v", "c": "c"}
 
@@ -125,9 +126,15 @@ class CountTable:
 
 
 def _log_estimate(n: int) -> float:
-    """Natural logarithm of the estimate of u_tilde(n), finite for all n >= 1."""
+    """Natural logarithm of the estimate of u_tilde(n) for any int n >= 1;
+    math.inf once sqrt(24n-1) leaves the float range."""
     m = 24 * n - 1
-    root = math.sqrt(m)
+    try:
+        # past the float range, 24n-1 converts only through its square root
+        root = math.sqrt(m) if m <= _FLOAT_MAX_INT else float(math.isqrt(m))
+    except OverflowError:
+        return math.inf
+    # math.log is exact on ints of any size
     return (
         0.5 * math.log(3.0)
         - 0.75 * math.log(m)
@@ -143,7 +150,10 @@ class AsymptoticEstimate:
     The next correction of order 1/n is dropped; relative_error_vs_exact
     is filled only when the caller supplies the exact value.  value is
     math.inf once the estimate exceeds the float range (n above about
-    78800); log10_value holds it at every n.
+    78800); log10_value holds it until sqrt(24n-1) leaves the float range
+    (n above about 1e615), and is math.inf after that.  log10_value
+    carries about 16 significant digits, so from about 1e15 on not even
+    its integer part is known.
     """
 
     n: int
@@ -161,8 +171,8 @@ def asymptotic_u_tilde(n: int, exact: int | None = None) -> AsymptoticEstimate:
     if n < 1:
         raise ValueError("estimate defined for n >= 1 only")
     m = 24 * n - 1
-    root = math.sqrt(m)
     try:
+        root = math.sqrt(m)
         value = (
             math.sqrt(3.0)
             * m ** -0.75
@@ -171,7 +181,8 @@ def asymptotic_u_tilde(n: int, exact: int | None = None) -> AsymptoticEstimate:
         )
     except OverflowError:
         # the exponential alone leaves the float range a little before
-        # the whole product does; past that, only the logarithm is kept
+        # the whole product does, and 24n-1 itself from n ~ 7e306; past
+        # that, only the logarithm is kept
         log_value = _log_estimate(n)
         value = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
     if exact is None:

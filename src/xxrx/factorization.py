@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _backend
-from .sequences import format_sequence, parse_sequence
+from .sequences import parse_sequence
 from .words import check_word
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "Factorization",
     "ProfileError",
     "factorize",
-    "format_profile",
     "is_in_l_linear",
     "parse_profile",
     "profile",
@@ -43,10 +42,11 @@ class ProfileError(ValueError):
 
 def profile(w: str) -> tuple[int, ...]:
     """Block-length profile of a triple-free word."""
-    w = check_word(w)
-    if "000" in w or "111" in w:
-        raise FactorDomainError("word contains 000 or 111; factorization undefined")
-    return tuple(_backend.profile_of(w.encode("ascii")))
+    b = check_word(w).encode("ascii")
+    try:
+        return tuple(_backend.profile_of(b))
+    except ValueError:
+        raise FactorDomainError("word contains 000 or 111; factorization undefined") from None
 
 
 @dataclass(frozen=True)
@@ -118,11 +118,6 @@ def is_in_l_linear(w: str) -> bool:
     on the first valley.  Agrees with the direct instance scan.
     """
     return _backend.is_member(check_word(w).encode("ascii"))
-
-
-def format_profile(entries: Iterable[int]) -> str:
-    """Render a profile as "(4,4,4)"; the empty profile as "()"."""
-    return format_sequence(entries)
 
 
 def parse_profile(text: str) -> tuple[int, ...]:

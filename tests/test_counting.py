@@ -125,6 +125,13 @@ def test_asymptotic_beyond_float_range():
     assert est.value == math.inf
     assert math.isclose(est.log10_value, math.log10(5.41761449423769) + 347, rel_tol=1e-14)
     assert math.isclose(est.relative_error_vs_exact, 5.41761449423769 / 5 - 1, rel_tol=1e-9)
+    # 24n-1 leaves the float range from n ~ 7e306, its square root from
+    # n ~ 1e615; the leading term (pi/6) sqrt(24n) dwarfs the others
+    est = asymptotic_u_tilde(10**400)
+    assert est.value == math.inf
+    leading = math.pi / 6 * math.sqrt(24) * 1e200 / math.log(10)
+    assert math.isclose(est.log10_value, leading, rel_tol=1e-14)
+    assert asymptotic_u_tilde(10**700).log10_value == math.inf
 
 
 def test_asymptotic_domain():

@@ -10,7 +10,7 @@ from xxrx import (
     avoids_xxrx_naive,
     complement,
     factorize,
-    format_profile,
+    format_sequence,
     is_in_l_linear,
     parse_profile,
     profile,
@@ -64,10 +64,20 @@ def test_validate_profile_passes_end_entries_of_one():
     assert validate_profile((1,)) == (1,)
 
 
+# weight 1980, valley-free (equal peak), and the same with one valley
+LONG_PEAK = tuple(range(1, 45)) + tuple(range(44, 0, -1))
+LONG_VALLEY = tuple(range(1, 45)) + (2,) + tuple(range(44, 0, -1))
+
+
 def test_is_in_l_linear_examples():
     assert not is_in_l_linear("010110100101")
     assert is_in_l_linear("00")
     assert not is_in_l_linear("000")
+    for p, member in ((LONG_PEAK, True), (LONG_VALLEY, False)):
+        for start in "01":
+            w = reconstruct(start, p)
+            assert is_in_l_linear(w) is member
+            assert profile(w) == p
 
 
 def test_factorization_to_word_round_trip():
@@ -136,8 +146,8 @@ def test_random_profile_round_trip(p, start):
 
 
 def test_format_parse_profile():
-    assert format_profile((4, 4, 4)) == "(4,4,4)"
-    assert format_profile(()) == "()"
+    assert format_sequence((4, 4, 4)) == "(4,4,4)"
+    assert format_sequence(()) == "()"
     assert parse_profile("(4,4,4)") == (4, 4, 4)
     assert parse_profile("()") == ()
     assert parse_profile(" ( 1 , 2 ) ") == (1, 2)
@@ -151,4 +161,4 @@ def test_format_parse_profile():
 
 @given(profile_entries)
 def test_profile_serialization_round_trip(p):
-    assert parse_profile(format_profile(p)) == p
+    assert parse_profile(format_sequence(p)) == p
