@@ -1,13 +1,15 @@
 """Best-effort on-disk cache for the count tables.
 
-One CSV per column under a cache directory (XXRX_CACHE_DIR overrides the
-default under the user cache home).  Files begin with a version stamp
-line and end with a trailer holding the row count, so a file cut short
-reads as incomplete rather than as a shorter column.  Anything
-unreadable, unparsable, differently stamped, or without its trailer is
-treated as absent.  Files are written to a temporary name and renamed
-into place, so readers never see a partial write.  Cache failures never
-propagate: the worst case is a recompute.
+One CSV, table.csv, under a cache directory (XXRX_CACHE_DIR overrides
+the default under the user cache home) holds the series u_tilde and t2;
+v and c are derived from them on load.  The file begins with a version
+stamp line and ends with a trailer holding the row count, so a file cut
+short reads as incomplete rather than as a shorter table.  Anything
+unreadable, unparsable, differently stamped, without its trailer, or
+failing the table's parity guard is treated as absent.  The file is
+written to a temporary name and renamed into place, so readers never see
+a partial write.  Cache failures never propagate: the worst case is a
+recompute.
 """
 
 from __future__ import annotations
@@ -15,16 +17,16 @@ from __future__ import annotations
 import contextlib
 import os
 import tempfile
-from collections.abc import Sequence
 from pathlib import Path
 
 from .counting import CountTable
 
-__all__ = ["ENV_CACHE_DIR", "STAMP", "cache_dir", "cached_table", "load_column", "store_column"]
+__all__ = ["ENV_CACHE_DIR", "STAMP", "cache_dir", "cached_table"]
 
 ENV_CACHE_DIR = "XXRX_CACHE_DIR"
-STAMP = "# xxrx tables v2"
-_COLUMNS = ("u_tilde", "v", "c")
+_FILENAME = "table.csv"
+STAMP = "# xxrx tables v3"
+_HEADER = "n,u_tilde,t2"
 
 
 def cache_dir() -> Path:
@@ -40,51 +42,44 @@ def _trailer(rows: int) -> str:
     return f"# rows {rows}"
 
 
-def load_column(name: str) -> list[int] | None:
-    """Cached values of one column, or None if absent or invalid."""
-    path = cache_dir() / f"{name}.csv"
+def _load() -> CountTable | None:
+    """The cached table over every stored row, or None if absent or invalid."""
     try:
-        lines = path.read_text().splitlines()
+        lines = (cache_dir() / _FILENAME).read_text().splitlines()
     except OSError:
         return None
-    if (
-        len(lines) < 3
-        or lines[0] != STAMP
-        or lines[1] != f"n,{name}"
-        or lines[-1] != _trailer(len(lines) - 3)
-    ):
+    rows = len(lines) - 3
+    if rows < 1 or lines[0] != STAMP or lines[1] != _HEADER or lines[-1] != _trailer(rows):
         return None
-    values = []
-    for i, line in enumerate(lines[2:-1]):
-        parts = line.split(",")
-        if len(parts) != 2:
-            return None
-        try:
-            n, value = int(parts[0]), int(parts[1])
-        except ValueError:
-            return None
-        if n != i:
-            return None
-        values.append(value)
-    return values
+    try:
+        parsed = [tuple(map(int, line.split(","))) for line in lines[2:-1]]
+    except ValueError:
+        return None
+    if any(len(row) != 3 or row[0] != n for n, row in enumerate(parsed)):
+        return None
+    _, u, t2 = zip(*parsed)
+    try:
+        return CountTable.from_series(rows - 1, u, t2)
+    except RuntimeError:
+        return None
 
 
-def store_column(name: str, values: Sequence[int]) -> None:
-    """Write one column, silently giving up on any filesystem trouble."""
-    existing = load_column(name)
-    if existing is not None and len(existing) >= len(values):
+def _store(table: CountTable) -> None:
+    """Write the table's series, silently giving up on any filesystem trouble."""
+    existing = _load()
+    if existing is not None and existing.limit >= table.limit:
         return
-    lines = [STAMP, f"n,{name}"]
-    lines.extend(f"{n},{v}" for n, v in enumerate(values))
-    lines.append(_trailer(len(values)))
+    lines = [STAMP, _HEADER]
+    lines.extend(f"{n},{un},{tn}" for n, (un, tn) in enumerate(zip(table.u_tilde, table.t2)))
+    lines.append(_trailer(table.limit + 1))
     try:
         directory = cache_dir()
         directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{name}.", suffix=".tmp", dir=directory)
+        fd, tmp = tempfile.mkstemp(prefix=f".{_FILENAME}.", suffix=".tmp", dir=directory)
         try:
             with os.fdopen(fd, "w") as f:
                 f.write("\n".join(lines) + "\n")
-            os.replace(tmp, directory / f"{name}.csv")
+            os.replace(tmp, directory / _FILENAME)
         except BaseException:
             with contextlib.suppress(OSError):
                 os.unlink(tmp)
@@ -94,19 +89,14 @@ def store_column(name: str, values: Sequence[int]) -> None:
 
 
 def cached_table(limit: int) -> CountTable:
-    """A CountTable through index limit, reusing cached columns when they
-    reach far enough and refreshing the cache when they do not."""
+    """A CountTable through index limit, reusing the cached table when it
+    reaches far enough and refreshing the cache when it does not."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    columns = {name: load_column(name) for name in _COLUMNS}
-    if all(col is not None and len(col) > limit for col in columns.values()):
-        return CountTable(
-            limit,
-            tuple(columns["u_tilde"][: limit + 1]),
-            tuple(columns["v"][: limit + 1]),
-            tuple(columns["c"][: limit + 1]),
-        )
+    table = _load()
+    if table is not None and table.limit >= limit:
+        end = limit + 1
+        return CountTable(limit, table.u_tilde[:end], table.v[:end], table.c[:end])
     table = CountTable.build(limit)
-    for name in _COLUMNS:
-        store_column(name, table.column(name))
+    _store(table)
     return table

@@ -74,13 +74,13 @@ def cmd_invert(args: argparse.Namespace) -> int:
     if args.start not in ("0", "1"):
         return _fail(f"start letter must be 0 or 1, not {args.start!r}")
     try:
-        entries = parse_profile(args.profile)
+        word = reconstruct(args.start, parse_profile(args.profile))
     except ProfileError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except ValueError as exc:
         return _fail(str(exc))
-    print(reconstruct(args.start, entries))
+    print(word)
     return EXIT_OK
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import add
 
 __all__ = [
     "AsymptoticEstimate",
@@ -36,23 +38,30 @@ _FLOAT_MAX_INT = int(sys.float_info.max)
 COLUMN_ALIASES = {"u": "u_tilde", "u_tilde": "u_tilde", "v": "v", "c": "c"}
 
 
-def gf_u_tilde(limit: int) -> list[int]:
-    """Coefficients 0..limit of the product of (1 + q^j)^2 for j >= 1.
+def _series(limit: int) -> tuple[list[int], list[int]]:
+    """Coefficients 0..limit of u_tilde and t2, from one sweep over p.
 
-    Factors with j > limit cannot touch the kept coefficients, so the
-    product is truncated there.
+    t2 is the sum over p >= 1 of q^(2p) times the product of (1 + q^j)^2
+    for j < p, and that partial product is the running product just
+    before it takes the factor for p; after the last p it is u_tilde.
+    Factors with p > limit cannot touch the kept coefficients.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    coeffs = [0] * (limit + 1)
-    coeffs[0] = 1
-    for j in range(1, limit + 1):
+    prod = [1] + [0] * limit
+    t2 = [0] * (limit + 1)
+    for p in range(1, limit + 1):
+        # each right side is built in full before its slice is replaced,
+        # so it reads the old coefficients
+        t2[2 * p :] = map(add, t2[2 * p :], prod)
         for _ in range(2):
-            # multiply by (1 + q^j) in place; descending so each factor
-            # is used at most once
-            for m in range(limit, j - 1, -1):
-                coeffs[m] += coeffs[m - j]
-    return coeffs
+            prod[p:] = map(add, prod[p:], prod)
+    return prod, t2
+
+
+def gf_u_tilde(limit: int) -> list[int]:
+    """Coefficients 0..limit of the product of (1 + q^j)^2 for j >= 1."""
+    return _series(limit)[0]
 
 
 def type2_counts(limit: int) -> list[int]:
@@ -62,19 +71,7 @@ def type2_counts(limit: int) -> list[int]:
     increasing runs below p on either side, giving the series sum over
     p >= 1 of q^(2p) times the product of (1 + q^j)^2 for j < p.
     """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    out = [0] * (limit + 1)
-    # partial = product over j < p, grown as p advances
-    partial = [0] * (limit + 1)
-    partial[0] = 1
-    for p in range(1, limit // 2 + 1):
-        for m in range(limit - 2 * p + 1):
-            out[2 * p + m] += partial[m]
-        for _ in range(2):
-            for m in range(limit, p - 1, -1):
-                partial[m] += partial[m - p]
-    return out
+    return _series(limit)[1]
 
 
 def count_v(limit: int) -> list[int]:
@@ -98,8 +95,11 @@ class CountTable:
 
     @classmethod
     def build(cls, limit: int) -> CountTable:
-        u = gf_u_tilde(limit)
-        t2 = type2_counts(limit)
+        return cls.from_series(limit, *_series(limit))
+
+    @classmethod
+    def from_series(cls, limit: int, u: Sequence[int], t2: Sequence[int]) -> CountTable:
+        """The table with v = (u_tilde + t2) / 2 and c = 2 v, both 1 at n = 0."""
         v = [1]
         for n in range(1, limit + 1):
             total = u[n] + t2[n]
@@ -110,6 +110,11 @@ class CountTable:
             v.append(total // 2)
         c = [1] + [2 * vn for vn in v[1:]]
         return cls(limit, tuple(u), tuple(v), tuple(c))
+
+    @property
+    def t2(self) -> tuple[int, ...]:
+        """The equal-peak series: c - u_tilde, which is 0 at n = 0."""
+        return tuple(cn - un for un, cn in zip(self.u_tilde, self.c))
 
     def column(self, name: str) -> tuple[int, ...]:
         try:

@@ -16,10 +16,11 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _backend
-from .sequences import parse_sequence
+from .sequences import _entries, parse_sequence
 from .words import check_word
 
 __all__ = [
+    "MAX_RECONSTRUCT_LEN",
     "FactorDomainError",
     "Factorization",
     "ProfileError",
@@ -30,6 +31,10 @@ __all__ = [
     "reconstruct",
     "validate_profile",
 ]
+
+
+# longest word reconstruct builds: 10**7 letters, a 10 MB string
+MAX_RECONSTRUCT_LEN = 10**7
 
 
 class FactorDomainError(ValueError):
@@ -81,10 +86,10 @@ def validate_profile(entries: Iterable[int]) -> tuple[int, ...]:
     Every entry must be positive and interior entries at least 2 (an
     interior block carries a doubled letter at both ends).
     """
-    p = tuple(entries)
-    for d in p:
-        if not isinstance(d, int) or d < 1:
-            raise ProfileError(f"profile entries must be positive integers, found {d!r}")
+    try:
+        p = _entries(entries)
+    except ValueError as exc:
+        raise ProfileError(str(exc)) from None
     for d in p[1:-1]:
         if d < 2:
             raise ProfileError(f"interior profile entries must be at least 2, found {d}")
@@ -101,6 +106,9 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
     if start_letter not in ("0", "1"):
         raise ValueError(f"start letter must be '0' or '1', not {start_letter!r}")
     p = validate_profile(entries)
+    weight = sum(p)
+    if weight > MAX_RECONSTRUCT_LEN:
+        raise ProfileError(f"profile weight {weight} exceeds {MAX_RECONSTRUCT_LEN} letters")
     blocks = []
     c = start_letter
     for length in p:

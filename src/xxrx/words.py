@@ -27,8 +27,9 @@ _COMPLEMENT = str.maketrans("01", "10")
 
 def check_word(w: str) -> str:
     """Return w unchanged; raise ValueError on symbols outside {'0','1'}."""
-    if w.strip("01"):
-        bad = w.strip("01")[0]
+    # every non-ASCII character encodes as '?', so anything left is a bad symbol
+    if w.encode("ascii", "replace").translate(None, b"01"):
+        bad = next(ch for ch in w if ch not in "01")
         raise ValueError(f"word symbols must be '0' or '1', found {bad!r}")
     return w
 

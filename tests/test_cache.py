@@ -1,7 +1,17 @@
 from pathlib import Path
 
 from xxrx import CountTable
-from xxrx.cache import STAMP, cache_dir, cached_table, load_column, store_column
+from xxrx.cache import STAMP, _load, _store, cache_dir, cached_table
+
+
+def table_path():
+    return cache_dir() / "table.csv"
+
+
+def rewrite(edit):
+    """Replace the cache file's lines by edit(lines)."""
+    path = table_path()
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
 
 
 def test_cache_dir_respects_env(tmp_path, monkeypatch):
@@ -16,61 +26,70 @@ def test_cache_dir_default_under_xdg(monkeypatch, tmp_path):
 
 
 def test_store_and_load_round_trip():
-    store_column("c", [1, 2, 4, 6])
-    assert load_column("c") == [1, 2, 4, 6]
+    table = CountTable.build(6)
+    _store(table)
+    assert _load() == table
+    assert table_path().read_text().splitlines() == [
+        STAMP,
+        "n,u_tilde,t2",
+        "0,1,0",
+        "1,2,0",
+        "2,3,1",
+        "3,6,0",
+        "4,9,1",
+        "5,14,2",
+        "6,22,2",
+        "# rows 7",
+    ]
 
 
 def test_load_missing_returns_none():
-    assert load_column("v") is None
+    assert _load() is None
 
 
 def test_cached_table_writes_then_reads():
     table = cached_table(6)
-    assert table.c == tuple(CountTable.build(6).c)
-    path = cache_dir() / "c.csv"
-    assert path.exists()
-    text = path.read_text()
-    assert text.splitlines()[0] == STAMP
-    assert text.splitlines()[1] == "n,c"
+    assert table == CountTable.build(6)
+    assert sorted(p.name for p in cache_dir().iterdir()) == ["table.csv"]
+    lines = table_path().read_text().splitlines()
+    assert lines[:2] == [STAMP, "n,u_tilde,t2"]
 
-    # second call must be served from the files; plant a marker value
-    # beyond the requested range to prove they are read
-    store_column("u_tilde", list(cached_table(6).u_tilde) + [777777])
+    # the second call must be served from the file; plant a marker row
+    # beyond the requested range to prove it is read
+    rewrite(lambda lines: lines[:-1] + ["7,777777,1", "# rows 8"])
     again = cached_table(6)
-    assert again.u_tilde == table.u_tilde
-    assert load_column("u_tilde")[7] == 777777
+    assert again == table
+    assert _load().u_tilde[7] == 777777
 
 
 def test_stamp_mismatch_invalidates():
     cached_table(4)
-    path = cache_dir() / "c.csv"
-    body = path.read_text().splitlines()[1:]
-    path.write_text("\n".join(["# other tool"] + body) + "\n")
-    assert load_column("c") is None
+    rewrite(lambda lines: ["# xxrx tables v2"] + lines[1:])
+    assert _load() is None
     # recompute still works and refreshes the file
     table = cached_table(4)
     assert table.c == (1, 2, 4, 6, 10)
-    assert load_column("c") == [1, 2, 4, 6, 10]
+    assert _load() == table
 
 
 def test_corrupt_rows_invalidate():
-    store_column("v", [1, 1, 2])
-    path = cache_dir() / "v.csv"
-    path.write_text(path.read_text().replace("2,2", "2,two"))
-    assert load_column("v") is None
+    _store(CountTable.build(2))
+    rewrite(lambda lines: [line.replace("2,3,1", "2,three,1") for line in lines])
+    assert _load() is None
 
 
 def test_gapped_indices_invalidate():
-    path = cache_dir() / "c.csv"
+    path = table_path()
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(f"{STAMP}\nn,c\n0,1\n2,4\n")
-    assert load_column("c") is None
+    path.write_text(f"{STAMP}\nn,u_tilde,t2\n0,1,0\n2,3,1\n# rows 2\n")
+    assert _load() is None
 
 
 def test_shorter_store_does_not_clobber_longer():
-    store_column("c", [1, 2, 4, 6, 10])
-    store_column("c", [1, 2])
-    assert load_column("c") == [1, 2, 4, 6, 10]
+    longer = CountTable.build(4)
+    _store(longer)
+    _store(CountTable.build(1))
+    assert _load() == longer
 
 
 def test_unwritable_cache_is_silent(monkeypatch, tmp_path):
@@ -78,7 +97,7 @@ def test_unwritable_cache_is_silent(monkeypatch, tmp_path):
     blocker.write_text("a plain file, not a directory")
     monkeypatch.setenv("XXRX_CACHE_DIR", str(blocker / "sub"))
     # store must swallow the failure and cached_table must still compute
-    store_column("c", [1, 2])
+    _store(CountTable.build(1))
     assert cached_table(3).c == (1, 2, 4, 6)
 
 
@@ -89,12 +108,32 @@ def test_cache_is_isolated_per_test():
 
 def test_truncated_files_are_rebuilt():
     full = cached_table(50)
-    for name in ("u_tilde", "v", "c"):
-        path = cache_dir() / f"{name}.csv"
-        path.write_text(path.read_text()[:-5])
-        assert load_column(name) is None
+    path = table_path()
+    path.write_text(path.read_text()[:-5])
+    assert _load() is None
     assert cached_table(50) == full
-    for name in ("u_tilde", "v", "c"):
-        assert load_column(name) == list(full.column(name))
+    assert _load() == full
     # the rebuild leaves no temporary files behind
-    assert sorted(p.name for p in cache_dir().iterdir()) == ["c.csv", "u_tilde.csv", "v.csv"]
+    assert sorted(p.name for p in cache_dir().iterdir()) == ["table.csv"]
+
+
+def test_parity_break_reads_as_absent():
+    full = cached_table(30)
+    # t2(10) = 7; one more makes u_tilde(10) + t2(10) odd
+    rewrite(lambda lines: [line.replace("10,93,7", "10,93,8") for line in lines])
+    assert "10,93,8" in table_path().read_text()
+    assert _load() is None
+    assert cached_table(30) == full
+    assert _load() == full
+
+
+def test_per_column_files_are_ignored():
+    directory = cache_dir()
+    directory.mkdir(parents=True)
+    # per-column files of the earlier v2 layout, with a wrong c(3)
+    for name, values in (("u_tilde", [1, 2, 3, 6]), ("v", [1, 1, 2, 3]), ("c", [1, 2, 4, 7])):
+        lines = ["# xxrx tables v2", f"n,{name}"] + [f"{n},{x}" for n, x in enumerate(values)]
+        (directory / f"{name}.csv").write_text("\n".join(lines + [f"# rows {len(values)}"]) + "\n")
+    assert _load() is None
+    assert cached_table(3) == CountTable.build(3)
+    assert _load() == CountTable.build(3)

@@ -66,6 +66,12 @@ def test_invert_errors(capsys):
     assert code == 2
     code, _, _ = run(capsys, "invert", "x", "(2,2)")
     assert code == 2
+    code, _, err = run(capsys, "invert", "0", "(0)")
+    assert code == 1 and err.startswith("error:")
+    code, _, err = run(capsys, "invert", "0", "(a)")
+    assert code == 2 and err.startswith("error:")
+    code, out, err = run(capsys, "invert", "0", "(10000000000)")
+    assert code == 1 and out == "" and err.startswith("error:") and "Traceback" not in err
 
 
 def test_invert_empty_profile(capsys):

@@ -17,6 +17,7 @@ from xxrx import (
     reconstruct,
     validate_profile,
 )
+from xxrx.factorization import MAX_RECONSTRUCT_LEN
 
 
 def triple_free_words(max_len):
@@ -56,6 +57,9 @@ def test_reconstruct_rejects_bad_profiles():
         reconstruct("0", (3, -2))
     with pytest.raises(ValueError):
         reconstruct("2", (3,))
+    with pytest.raises(ProfileError):
+        reconstruct("0", (MAX_RECONSTRUCT_LEN, 1))
+    assert len(reconstruct("0", (MAX_RECONSTRUCT_LEN - 1, 1))) == MAX_RECONSTRUCT_LEN
 
 
 def test_validate_profile_passes_end_entries_of_one():

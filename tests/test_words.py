@@ -23,8 +23,10 @@ def test_check_word_accepts_binary():
 def test_check_word_rejects_other_symbols():
     with pytest.raises(ValueError):
         check_word("0a1")
-    with pytest.raises(ValueError):
-        check_word("012")
+    for word, bad in (("0é1", "'é'"), ("01\x00", "'\\x00'"), ("012", "'2'")):
+        with pytest.raises(ValueError) as info:
+            check_word(word)
+        assert str(info.value) == f"word symbols must be '0' or '1', found {bad}"
 
 
 def test_find_xxrx_worked_example():
