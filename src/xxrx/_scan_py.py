@@ -22,8 +22,16 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
         return (i0, 1)
     if i1 >= 0:
         return (i1, 1)
+    # the middle of x x^R is a doubled letter w[k] == w[k+1], k = i + t - 1,
+    # so only the starts i = k - t + 1 can begin an instance
+    doubles = [m.start() for m in _DOUBLE.finditer(w)]
     for t in range(2, n // 3 + 1):
-        for i in range(n - 3 * t + 1):
+        for k in doubles:
+            i = k - t + 1
+            if i < 0:
+                continue
+            if i > n - 3 * t:
+                break
             x = w[i:i + t]
             if w[i + t:i + 2 * t] == x[::-1] and w[i + 2 * t:i + 3 * t] == x:
                 return (i, t)

@@ -6,10 +6,13 @@ v and c are derived from them on load.  The file begins with a version
 stamp line and ends with a trailer holding the row count, so a file cut
 short reads as incomplete rather than as a shorter table.  Anything
 unreadable, unparsable, differently stamped, without its trailer, or
-failing the table's parity guard is treated as absent.  The file is
-written to a temporary name and renamed into place, so readers never see
-a partial write.  Cache failures never propagate: the worst case is a
-recompute.
+failing the table's parity guard is treated as absent.  A hit for index
+limit checks the stamp, header and trailer against the whole file but
+parses only rows 0..limit; a fault in a later row shows on the next read
+that reaches it, or on the next store, which reads every row.  The file
+is written to a temporary name and renamed into place, so readers never
+see a partial write.  Cache failures never propagate: the worst case is
+a recompute.
 """
 
 from __future__ import annotations
@@ -42,8 +45,13 @@ def _trailer(rows: int) -> str:
     return f"# rows {rows}"
 
 
-def _load() -> CountTable | None:
-    """The cached table over every stored row, or None if absent or invalid."""
+def _load(limit: int | None = None) -> CountTable | None:
+    """The cached table through index limit (every stored row when limit
+    is None), or None if the file is absent, invalid or too short.
+
+    The stamp, header and trailer are checked against the whole file;
+    only the rows served are parsed and checked.
+    """
     try:
         lines = (cache_dir() / _FILENAME).read_text().splitlines()
     except OSError:
@@ -51,15 +59,19 @@ def _load() -> CountTable | None:
     rows = len(lines) - 3
     if rows < 1 or lines[0] != STAMP or lines[1] != _HEADER or lines[-1] != _trailer(rows):
         return None
+    if limit is None:
+        limit = rows - 1
+    elif limit >= rows:
+        return None
     try:
-        parsed = [tuple(map(int, line.split(","))) for line in lines[2:-1]]
+        parsed = [tuple(map(int, line.split(","))) for line in lines[2 : limit + 3]]
     except ValueError:
         return None
     if any(len(row) != 3 or row[0] != n for n, row in enumerate(parsed)):
         return None
     _, u, t2 = zip(*parsed)
     try:
-        return CountTable.from_series(rows - 1, u, t2)
+        return CountTable.from_series(limit, u, t2)
     except RuntimeError:
         return None
 
@@ -93,10 +105,8 @@ def cached_table(limit: int) -> CountTable:
     reaches far enough and refreshing the cache when it does not."""
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    table = _load()
-    if table is not None and table.limit >= limit:
-        end = limit + 1
-        return CountTable(limit, table.u_tilde[:end], table.v[:end], table.c[:end])
-    table = CountTable.build(limit)
-    _store(table)
+    table = _load(limit)
+    if table is None:
+        table = CountTable.build(limit)
+        _store(table)
     return table

@@ -2,20 +2,27 @@
 
 Exit codes follow one convention across subcommands: 0 for success or a
 positive verdict, 1 for a negative verdict or a domain rejection (word
-not in the language, count mismatch, impossible profile), 2 for input
-that cannot be parsed at all.
+not in the language, count mismatch, impossible profile, table above
+the cap), 2 for input that cannot be parsed at all.  A reader that
+closes the output early ends the process with 1 and no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from . import __version__
 from .bruteforce import cross_check
 from .cache import cached_table
-from .counting import COLUMN_ALIASES, AsymptoticEstimate, asymptotic_u_tilde
+from .counting import (
+    COLUMN_ALIASES,
+    MAX_TABLE_LIMIT,
+    AsymptoticEstimate,
+    asymptotic_u_tilde,
+)
 from .factorization import (
     FactorDomainError,
     ProfileError,
@@ -43,6 +50,13 @@ _ASYM_LOG10_LIMIT = 1e15
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return EXIT_USAGE
+
+
+def _over_table_cap(limit: int) -> bool:
+    if limit <= MAX_TABLE_LIMIT:
+        return False
+    print(f"error: table index {limit} is above the cap of {MAX_TABLE_LIMIT}", file=sys.stderr)
+    return True
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -87,6 +101,8 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     if args.limit < 0:
         return _fail("N must be nonnegative")
+    if _over_table_cap(args.limit):
+        return EXIT_FAIL
     table = cached_table(args.limit)
     if args.format == "bfile":
         name = COLUMN_ALIASES[args.column or "c"]
@@ -160,6 +176,8 @@ def cmd_cfl_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis_compare(args: argparse.Namespace) -> int:
+    if _over_table_cap(args.limit):
+        return EXIT_FAIL
     try:
         bfile = read_bfile(args.path)
     except BFileParseError as exc:
@@ -178,7 +196,11 @@ def cmd_oeis_compare(args: argparse.Namespace) -> int:
     if not usable:
         print("warning: no overlapping indices; comparison is vacuous")
         return EXIT_OK
-    table = cached_table(max(usable) - args.offset)
+    # a negative offset asks for local indices beyond the b-file's
+    top = max(usable) - args.offset
+    if _over_table_cap(top):
+        return EXIT_FAIL
+    table = cached_table(top)
     mismatches, overlap = compare_values(bfile, table.column(name), args.offset)
     for m in mismatches:
         print(f"n={m.index} local={m.local} reference={m.reference}")
@@ -248,7 +270,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away; stdout still holds unwritten output, which
+        # the interpreter would try to flush again at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_FAIL
+    return code
 
 
 if __name__ == "__main__":

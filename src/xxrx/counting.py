@@ -11,6 +11,16 @@ Three sequences are tabulated with arbitrary-precision integers:
 * c(n): binary words of length n avoiding x x^R x.  Each valley-free
   sequence of weight n is the profile of exactly one such word per start
   letter, so c(n) = 2 v(n) for n >= 1.
+
+The series u_tilde and t2 are built on packed integers.  The distinct-part
+partition counts Q, with u_tilde = Q^2, come from Euler's pentagonal
+number theorem (Q(q) E(q) = E(q^2)) in O(N^1.5) small additions.  Packing
+Q one coefficient per fixed-width slot of an integer turns Q^2 into one
+big-integer square (Kronecker substitution).  t2 comes from a sweep over
+the peak p <= N/2 whose running product, packed the same way, is cut to
+the degrees later terms can still reach, so each step is a few shifts and
+additions.  The slot width is derived from u_tilde(N), which bounds every
+coefficient of degree <= N that either construction produces.
 """
 
 from __future__ import annotations
@@ -19,11 +29,12 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import add
+from operator import mul
 
 __all__ = [
     "AsymptoticEstimate",
     "CountTable",
+    "MAX_TABLE_LIMIT",
     "asymptotic_u_tilde",
     "count_c",
     "count_v",
@@ -35,28 +46,80 @@ __all__ = [
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
+# largest N that `xxrx count` and `xxrx oeis-compare` tabulate:
+# CountTable.build(10_000) takes seconds, and the time grows about as N^2
+MAX_TABLE_LIMIT = 10_000
+
 COLUMN_ALIASES = {"u": "u_tilde", "u_tilde": "u_tilde", "v": "v", "c": "c"}
 
 
-def _series(limit: int) -> tuple[list[int], list[int]]:
-    """Coefficients 0..limit of u_tilde and t2, from one sweep over p.
+def _distinct_partitions(limit: int) -> list[int]:
+    """Coefficients 0..limit of Q, the product of (1 + q^j) for j >= 1.
 
-    t2 is the sum over p >= 1 of q^(2p) times the product of (1 + q^j)^2
-    for j < p, and that partial product is the running product just
-    before it takes the factor for p; after the last p it is u_tilde.
-    Factors with p > limit cannot touch the kept coefficients.
+    Q(q) E(q) = E(q^2) for Euler's E(q), the product of (1 - q^j), whose
+    only nonzero coefficients are (-1)^k at the generalized pentagonal
+    numbers k(3k - 1)/2 and k(3k + 1)/2.  So Q(n) is the coefficient of
+    q^n in E(q^2) plus Q(n - m) for each pentagonal 0 < m <= n with k
+    odd, minus it for each with k even: O(limit^1.5) small additions.
+    """
+    # generalized pentagonal m (all distinct) -> whether its k is odd
+    odd_k: dict[int, bool] = {}
+    k = 1
+    while k * (3 * k - 1) // 2 <= limit:
+        odd_k[k * (3 * k - 1) // 2] = odd_k[k * (3 * k + 1) // 2] = k % 2 == 1
+        k += 1
+    e_square = [1] + [0] * limit
+    for m, odd in odd_k.items():
+        if 2 * m <= limit:
+            e_square[2 * m] = -1 if odd else 1
+    q: list[int] = []
+    get = q.__getitem__
+    added: list[int] = []
+    subtracted: list[int] = []
+    for n in range(limit + 1):
+        if n in odd_k:
+            (added if odd_k[n] else subtracted).append(-n)
+        # q holds Q(0..n-1), so q[-m] is Q(n - m)
+        q.append(e_square[n] + sum(map(get, added)) - sum(map(get, subtracted)))
+    return q
+
+
+def _series(limit: int) -> tuple[list[int], list[int]]:
+    """Coefficients 0..limit of u_tilde and t2.
+
+    Both are computed on integers that pack one coefficient per slot of
+    a fixed number of bytes (Kronecker substitution).  Every coefficient
+    of degree <= limit produced below counts some of the distinct-part
+    partition pairs that u_tilde(limit) counts, and u_tilde is
+    nondecreasing, so u_tilde(limit) fits a slot and no slot at degree
+    <= limit ever carries into the next.
     """
     if limit < 0:
         raise ValueError("limit must be nonnegative")
-    prod = [1] + [0] * limit
-    t2 = [0] * (limit + 1)
-    for p in range(1, limit + 1):
-        # each right side is built in full before its slice is replaced,
-        # so it reads the old coefficients
-        t2[2 * p :] = map(add, t2[2 * p :], prod)
-        for _ in range(2):
-            prod[p:] = map(add, prod[p:], prod)
-    return prod, t2
+    q = _distinct_partitions(limit)
+    width = (sum(map(mul, q, reversed(q))).bit_length() + 7) // 8
+    bits, size = 8 * width, width * (limit + 1)
+
+    # u_tilde = Q^2 in one big-integer square.  Slots above degree limit
+    # may overflow, but carries only move up, past the slots kept.
+    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in q), "little")
+    low = (packed * packed).to_bytes(2 * size, "little")
+    u = [int.from_bytes(low[i : i + width], "little") for i in range(0, size, width)]
+
+    # t2 is the sum over p of q^(2p) P(p-1), with P(p) the product of
+    # (1 + q^j)^2 for j <= p.  Only p <= limit/2 reach degree limit, and
+    # then P(p-1) only up to degree limit - 2p.  prod holds P(p-1) reversed
+    # about that degree (slot i is the coefficient of degree limit-2p-i), so
+    # cutting degrees off and multiplying by q^p are right shifts, and
+    # q^(2p) P(p-1) lines up with t2, which is held reversed about limit.
+    prod, t2 = 1 << (limit * bits), 0
+    for p in range(1, limit // 2 + 1):
+        prod >>= 2 * bits
+        t2 += prod
+        prod += prod >> (p * bits)
+        prod += prod >> (p * bits)
+    high = t2.to_bytes(size, "big")
+    return u, [int.from_bytes(high[i : i + width], "big") for i in range(0, size, width)]
 
 
 def gf_u_tilde(limit: int) -> list[int]:

@@ -1,10 +1,12 @@
 """Binary words and definition-level pattern-instance search.
 
 Words are plain strings over {'0', '1'}; the empty string is the empty
-word.  The instance finder tries every block length t and start i in
-(t, i) order, so the first hit is the one with minimal block length,
-ties broken by minimal start.  This quadratic scan is the reference that
-the linear recognizer in ``factorization`` is checked against.
+word.  The instance finder tries block lengths t and starts i in (t, i)
+order, so the first hit is the one with minimal block length, ties
+broken by minimal start.  For t >= 2 it tries only the starts where the
+middle of x x^R falls on a doubled letter, since x ends with the letter
+x^R begins with.  This quadratic scan is the reference that the linear
+recognizer in ``factorization`` is checked against.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ agreement between the two is evidence rather than tautology.
 from __future__ import annotations
 
 from collections.abc import Iterator
+from operator import add
 
 
 def ref_find_xxrx(w: str) -> tuple[int, int] | None:
@@ -129,6 +130,25 @@ def gf_u_reversed_order(limit: int) -> list[int]:
     while len(poly) < limit + 1:
         poly.append(0)
     return poly
+
+
+def ref_series(limit: int) -> tuple[list[int], list[int]]:
+    """Coefficients 0..limit of u_tilde and t2, from one O(limit^2) sweep
+    over p of list-wide shift-adds.
+
+    t2 is the sum over p >= 1 of q^(2p) times the product of (1 + q^j)^2
+    for j < p, and that partial product is the running product just
+    before it takes the factor for p; after the last p it is u_tilde.
+    """
+    prod = [1] + [0] * limit
+    t2 = [0] * (limit + 1)
+    for p in range(1, limit + 1):
+        # each right side is built in full before its slice is replaced,
+        # so it reads the old coefficients
+        t2[2 * p :] = map(add, t2[2 * p :], prod)
+        for _ in range(2):
+            prod[p:] = map(add, prod[p:], prod)
+    return prod, t2
 
 
 def all_words(n: int) -> Iterator[str]:

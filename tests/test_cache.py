@@ -47,16 +47,21 @@ def test_load_missing_returns_none():
     assert _load() is None
 
 
-def test_cached_table_writes_then_reads():
+def test_cached_table_writes_then_reads(monkeypatch):
     table = cached_table(6)
     assert table == CountTable.build(6)
     assert sorted(p.name for p in cache_dir().iterdir()) == ["table.csv"]
     lines = table_path().read_text().splitlines()
     assert lines[:2] == [STAMP, "n,u_tilde,t2"]
 
-    # the second call must be served from the file; plant a marker row
-    # beyond the requested range to prove it is read
+    # the second call must be served from the file, with no build; a
+    # marker row beyond the requested range stays in place
     rewrite(lambda lines: lines[:-1] + ["7,777777,1", "# rows 8"])
+
+    def no_build(limit):
+        raise AssertionError("rebuilt instead of reading the file")
+
+    monkeypatch.setattr(CountTable, "build", no_build)
     again = cached_table(6)
     assert again == table
     assert _load().u_tilde[7] == 777777
@@ -137,3 +142,16 @@ def test_per_column_files_are_ignored():
     assert _load() is None
     assert cached_table(3) == CountTable.build(3)
     assert _load() == CountTable.build(3)
+
+
+def test_rows_beyond_the_read_are_not_parsed():
+    cached_table(40)
+    rewrite(lambda lines: lines[:32] + ["30,unparsable,0"] + lines[33:])
+    corrupt = table_path().read_text()
+    # served from the rows it reads, without a rebuild that would replace the file
+    assert cached_table(20) == CountTable.build(20)
+    assert table_path().read_text() == corrupt
+    assert _load() is None
+    # a read that reaches the bad row rebuilds and stores a valid file
+    assert cached_table(35) == CountTable.build(35)
+    assert _load() == CountTable.build(35)

@@ -1,12 +1,18 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xxrx import count_c, format_bfile
+import xxrx
+from xxrx import CountTable, cli, count_c, format_bfile
 from xxrx.cli import main
+from xxrx.counting import MAX_TABLE_LIMIT
 
 U_ROW = [1, 2, 3, 6, 9, 14, 22, 32, 46, 66, 93, 128, 176]
 C_ROW = [1, 2, 4, 6, 10, 16, 24, 34, 50, 72, 100, 138, 188]
@@ -74,6 +80,23 @@ def test_invert_errors(capsys):
     assert code == 1 and out == "" and err.startswith("error:") and "Traceback" not in err
 
 
+def test_invert_into_closed_pipe_exits_cleanly():
+    env = dict(os.environ, PYTHONPATH=str(Path(xxrx.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "xxrx.cli", "invert", "0", "(10000000)"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    # a reader like `head -c 10`: far more than a pipe buffer is left unread
+    assert proc.stdout.read(10) == b"0101010101"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def test_invert_empty_profile(capsys):
     code, out, _ = run(capsys, "invert", "0", "()")
     assert code == 0 and out == "\n"
@@ -120,6 +143,29 @@ def test_count_bfile_defaults_to_c(capsys):
 def test_count_negative(capsys):
     code, _, err = run(capsys, "count", "--", "-3")
     assert code == 2 and "error" in err
+
+
+def test_table_cap(capsys, monkeypatch, tmp_path):
+    built = []
+
+    def fake_cached_table(limit):
+        built.append(limit)
+        return CountTable.build(2)
+
+    monkeypatch.setattr(cli, "cached_table", fake_cached_table)
+    code, _, err = run(capsys, "count", str(MAX_TABLE_LIMIT))
+    assert code == 0 and err == "" and built == [MAX_TABLE_LIMIT]
+    code, out, err = run(capsys, "count", str(MAX_TABLE_LIMIT + 1))
+    assert code == 1 and out == "" and err.startswith("error:")
+    path = tmp_path / "b261204.txt"
+    path.write_text(format_bfile(count_c(2)))
+    code, out, _ = run(capsys, "oeis-compare", str(path), "--limit", str(MAX_TABLE_LIMIT))
+    assert code == 0 and "3 shared indices agree" in out
+    for options in (["--limit", str(MAX_TABLE_LIMIT + 1)], [f"--offset=-{MAX_TABLE_LIMIT}"]):
+        code, out, err = run(capsys, "oeis-compare", str(path), *options)
+        assert code == 1 and out == "" and err.startswith("error:")
+    # no table was built above the cap
+    assert built == [MAX_TABLE_LIMIT, 2]
 
 
 def test_asym_with_exact(capsys):
@@ -272,7 +318,8 @@ _profiles = st.text() | st.lists(st.integers(-1, 9), max_size=6).map(
 )
 _formats = st.sampled_from(["text", "csv", "bfile", "x"])
 
-# count and oracle stay cheap inside these bounds; oracle and cfl-verify
+# count and oracle stay cheap inside these bounds (count above the table
+# cap is refused before any build); oracle and cfl-verify
 # always get their size options, since their defaults take ~0.2 s a call
 _argv = st.one_of(
     _cat(st.just(["check"]), _arg(_words)),
@@ -280,7 +327,7 @@ _argv = st.one_of(
     _cat(st.just(["invert"]), _arg(st.text(max_size=2)), _arg(_profiles)),
     _cat(
         st.just(["count"]),
-        _arg(_num(-3, 60)),
+        _arg(_num(-3, 60) | _num(MAX_TABLE_LIMIT + 1, MAX_TABLE_LIMIT + 99)),
         _opt("--column", st.sampled_from("cvux")),
         _opt("--format", _formats),
     ),

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from helpers import count_partition_pairs, gf_u_reversed_order
+from helpers import count_partition_pairs, gf_u_reversed_order, ref_series
 from xxrx import (
     CountTable,
     SequenceKind,
@@ -61,6 +61,16 @@ def test_series_matches_direct_pair_count():
 
 def test_series_is_order_independent():
     assert gf_u_tilde(200) == gf_u_reversed_order(200)
+
+
+@pytest.mark.parametrize("limits", [range(61), [200, 1000, 1201, 2000]])
+def test_packed_series_match_the_sweep(limits):
+    # the slot width and the truncation degree change with the limit, so
+    # an off-by-one in either shows at some limit here
+    for limit in limits:
+        u, t2 = ref_series(limit)
+        assert gf_u_tilde(limit) == u
+        assert type2_counts(limit) == t2
 
 
 def test_type2_counts_match_classification():

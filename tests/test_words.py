@@ -9,6 +9,7 @@ from xxrx import (
     check_word,
     complement,
     find_xxrx_instance,
+    reconstruct,
     reverse,
 )
 
@@ -31,6 +32,8 @@ def test_check_word_rejects_other_symbols():
 
 def test_find_xxrx_worked_example():
     assert find_xxrx_instance("010110100101") == PatternInstance(0, 4)
+    # two doubled letters, and the only instance has the longest block
+    assert find_xxrx_instance(reconstruct("0", (1000, 1000, 1000))) == PatternInstance(0, 1000)
 
 
 def test_find_xxrx_trivial_cases():
