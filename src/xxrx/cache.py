@@ -5,14 +5,14 @@ the default under the user cache home) holds the series u_tilde and t2;
 v and c are derived from them on load.  The file begins with a version
 stamp line and ends with a trailer holding the row count, so a file cut
 short reads as incomplete rather than as a shorter table.  Anything
-unreadable, unparsable, differently stamped, without its trailer, or
-failing the table's parity guard is treated as absent.  A hit for index
-limit checks the stamp, header and trailer against the whole file but
-parses only rows 0..limit; a fault in a later row shows on the next read
-that reaches it, or on the next store, which reads every row.  The file
-is written to a temporary name and renamed into place, so readers never
-see a partial write.  Cache failures never propagate: the worst case is
-a recompute.
+unreadable, undecodable, unparsable, differently stamped, without its
+trailer, or failing the table's parity guard is treated as absent.  A
+hit for index limit checks the stamp, header and trailer against the
+whole file but parses only rows 0..limit; a fault in a later row shows
+on the next read that reaches it, or on the next store, which reads
+every row.  The file is written to a temporary name and renamed into
+place, so readers never see a partial write.  Cache failures never
+propagate: the worst case is a recompute.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ def _load(limit: int | None = None) -> CountTable | None:
     """
     try:
         lines = (cache_dir() / _FILENAME).read_text().splitlines()
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
     rows = len(lines) - 3
     if rows < 1 or lines[0] != STAMP or lines[1] != _HEADER or lines[-1] != _trailer(rows):

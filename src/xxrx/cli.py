@@ -182,7 +182,7 @@ def cmd_oeis_compare(args: argparse.Namespace) -> int:
         bfile = read_bfile(args.path)
     except BFileParseError as exc:
         return _fail(f"{args.path}: {exc}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         return _fail(f"cannot read {args.path}: {exc}")
     name = COLUMN_ALIASES[args.column]
     expected_id = KNOWN_SEQUENCE_IDS.get(name)

@@ -12,15 +12,23 @@ Three sequences are tabulated with arbitrary-precision integers:
   sequence of weight n is the profile of exactly one such word per start
   letter, so c(n) = 2 v(n) for n >= 1.
 
-The series u_tilde and t2 are built on packed integers.  The distinct-part
-partition counts Q, with u_tilde = Q^2, come from Euler's pentagonal
-number theorem (Q(q) E(q) = E(q^2)) in O(N^1.5) small additions.  Packing
-Q one coefficient per fixed-width slot of an integer turns Q^2 into one
-big-integer square (Kronecker substitution).  t2 comes from a sweep over
-the peak p <= N/2 whose running product, packed the same way, is cut to
-the degrees later terms can still reach, so each step is a few shifts and
-additions.  The slot width is derived from u_tilde(N), which bounds every
-coefficient of degree <= N that either construction produces.
+Both series come from dividing a sparse numerator by Euler's E(q), the
+product of (1 - q^j) over j >= 1, in O(N^1.5) additions each:
+
+* u_tilde = psi / E, with psi(q) the sum of q^(k(k+1)/2) over k >= 0:
+  the product of (1 + q^j) is E(q^2) / E(q), and by Gauss's identity
+  psi(q) = E(q^2)^2 / E(q).
+* U = R / E counts the strict-peak (strongly unimodal) sequences: U(q)
+  is the sum over p >= 0 of q^(p+1) times the product of (1 + q^j)^2 for
+  j <= p (G. E. Andrews, "Concave and convex compositions", Ramanujan
+  J. 31 (2013)), and R(q) is the sum over n >= 1 and 0 <= j <= (n-1)/2
+  of (-1)^j q^(T(n) - T(j)), with T(k) = k(k+1)/2.  U = R / E was found
+  numerically and is not proven; only the tests pin it, against an
+  independent sweep at every n <= 2000 and against the equal-peak
+  sequences listed one by one up to weight 14.
+* t2 = u_tilde - 1 - 2U exactly: (1 + q^(p+1))^2 - 1 = 2 q^(p+1) +
+  q^(2p+2); times the product of (1 + q^j)^2 for j <= p, it telescopes
+  over p.
 """
 
 from __future__ import annotations
@@ -29,7 +37,6 @@ import math
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import mul
 
 __all__ = [
     "AsymptoticEstimate",
@@ -47,84 +54,64 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
 # largest N that `xxrx count` and `xxrx oeis-compare` tabulate:
-# CountTable.build(10_000) takes seconds, and the time grows about as N^2
+# CountTable.build(10_000) takes ~0.24 s on a 2-vCPU Xeon (Python 3.11)
 MAX_TABLE_LIMIT = 10_000
 
 COLUMN_ALIASES = {"u": "u_tilde", "u_tilde": "u_tilde", "v": "v", "c": "c"}
 
 
-def _distinct_partitions(limit: int) -> list[int]:
-    """Coefficients 0..limit of Q, the product of (1 + q^j) for j >= 1.
+def _over_euler(numerator: Sequence[int]) -> list[int]:
+    """Coefficients 0..len(numerator)-1 of numerator(q) / E(q), where E(q)
+    is Euler's product of (1 - q^j) over j >= 1.
 
-    Q(q) E(q) = E(q^2) for Euler's E(q), the product of (1 - q^j), whose
-    only nonzero coefficients are (-1)^k at the generalized pentagonal
-    numbers k(3k - 1)/2 and k(3k + 1)/2.  So Q(n) is the coefficient of
-    q^n in E(q^2) plus Q(n - m) for each pentagonal 0 < m <= n with k
-    odd, minus it for each with k even: O(limit^1.5) small additions.
+    By the pentagonal number theorem the only nonzero coefficients of E
+    are (-1)^k at the generalized pentagonal numbers k(3k - 1)/2 and
+    k(3k + 1)/2.  So f = numerator / E has f(n) = numerator(n) plus
+    f(n - m) for each pentagonal 0 < m <= n with k odd, minus it for each
+    with k even: O(N^1.5) additions.
     """
+    limit = len(numerator) - 1
     # generalized pentagonal m (all distinct) -> whether its k is odd
     odd_k: dict[int, bool] = {}
     k = 1
     while k * (3 * k - 1) // 2 <= limit:
         odd_k[k * (3 * k - 1) // 2] = odd_k[k * (3 * k + 1) // 2] = k % 2 == 1
         k += 1
-    e_square = [1] + [0] * limit
-    for m, odd in odd_k.items():
-        if 2 * m <= limit:
-            e_square[2 * m] = -1 if odd else 1
-    q: list[int] = []
-    get = q.__getitem__
+    f: list[int] = []
+    get = f.__getitem__
     added: list[int] = []
     subtracted: list[int] = []
     for n in range(limit + 1):
         if n in odd_k:
             (added if odd_k[n] else subtracted).append(-n)
-        # q holds Q(0..n-1), so q[-m] is Q(n - m)
-        q.append(e_square[n] + sum(map(get, added)) - sum(map(get, subtracted)))
-    return q
+        # f holds f(0..n-1), so f[-m] is f(n - m)
+        f.append(numerator[n] + sum(map(get, added)) - sum(map(get, subtracted)))
+    return f
 
 
 def _series(limit: int) -> tuple[list[int], list[int]]:
-    """Coefficients 0..limit of u_tilde and t2.
-
-    Both are computed on integers that pack one coefficient per slot of
-    a fixed number of bytes (Kronecker substitution).  Every coefficient
-    of degree <= limit produced below counts some of the distinct-part
-    partition pairs that u_tilde(limit) counts, and u_tilde is
-    nondecreasing, so u_tilde(limit) fits a slot and no slot at degree
-    <= limit ever carries into the next.
-    """
-    if limit < 0:
-        raise ValueError("limit must be nonnegative")
-    q = _distinct_partitions(limit)
-    width = (sum(map(mul, q, reversed(q))).bit_length() + 7) // 8
-    bits, size = 8 * width, width * (limit + 1)
-
-    # u_tilde = Q^2 in one big-integer square.  Slots above degree limit
-    # may overflow, but carries only move up, past the slots kept.
-    packed = int.from_bytes(b"".join(c.to_bytes(width, "little") for c in q), "little")
-    low = (packed * packed).to_bytes(2 * size, "little")
-    u = [int.from_bytes(low[i : i + width], "little") for i in range(0, size, width)]
-
-    # t2 is the sum over p of q^(2p) P(p-1), with P(p) the product of
-    # (1 + q^j)^2 for j <= p.  Only p <= limit/2 reach degree limit, and
-    # then P(p-1) only up to degree limit - 2p.  prod holds P(p-1) reversed
-    # about that degree (slot i is the coefficient of degree limit-2p-i), so
-    # cutting degrees off and multiplying by q^p are right shifts, and
-    # q^(2p) P(p-1) lines up with t2, which is held reversed about limit.
-    prod, t2 = 1 << (limit * bits), 0
-    for p in range(1, limit // 2 + 1):
-        prod >>= 2 * bits
-        t2 += prod
-        prod += prod >> (p * bits)
-        prod += prod >> (p * bits)
-    high = t2.to_bytes(size, "big")
-    return u, [int.from_bytes(high[i : i + width], "big") for i in range(0, size, width)]
+    """Coefficients 0..limit of u_tilde and t2 (module docstring)."""
+    u = gf_u_tilde(limit)
+    r = [0] * (limit + 1)
+    # the exponents of R fall with j, and for each n the smallest is at
+    # least 3n^2/8, so no n above sqrt(3 limit) reaches limit
+    for n in range(1, math.isqrt(3 * limit) + 1):
+        for j in range((n - 1) // 2, -1, -1):
+            degree = (n * (n + 1) - j * (j + 1)) // 2
+            if degree > limit:
+                break
+            r[degree] += -1 if j % 2 else 1
+    strict = _over_euler(r)
+    return u, [0] + [un - 2 * sn for un, sn in zip(u[1:], strict[1:])]
 
 
 def gf_u_tilde(limit: int) -> list[int]:
-    """Coefficients 0..limit of the product of (1 + q^j)^2 for j >= 1."""
-    return _series(limit)[0]
+    """Coefficients 0..limit of the product of (1 + q^j)^2 for j >= 1,
+    computed as psi / E (module docstring)."""
+    if limit < 0:
+        raise ValueError("limit must be nonnegative")
+    # n is triangular exactly when 8n + 1 is a square
+    return _over_euler([int(math.isqrt(8 * n + 1) ** 2 == 8 * n + 1) for n in range(limit + 1)])
 
 
 def type2_counts(limit: int) -> list[int]:

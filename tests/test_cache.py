@@ -2,6 +2,7 @@ from pathlib import Path
 
 from xxrx import CountTable
 from xxrx.cache import STAMP, _load, _store, cache_dir, cached_table
+from xxrx.cli import main
 
 
 def table_path():
@@ -155,3 +156,13 @@ def test_rows_beyond_the_read_are_not_parsed():
     # a read that reaches the bad row rebuilds and stores a valid file
     assert cached_table(35) == CountTable.build(35)
     assert _load() == CountTable.build(35)
+
+
+def test_undecodable_file_is_rebuilt(capsys):
+    cache_dir().mkdir(parents=True)
+    table_path().write_bytes(b"n,u_tilde,t2\n\xff\n")
+    assert _load() is None
+    assert main(["count", "3"]) == 0
+    assert main(["asym", "5"]) == 0
+    assert capsys.readouterr().err == ""
+    assert _load() == CountTable.build(5)

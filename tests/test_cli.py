@@ -253,6 +253,10 @@ def test_oeis_compare_parse_error(capsys, tmp_path):
 def test_oeis_compare_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, "oeis-compare", str(tmp_path / "nope.txt"))
     assert code == 2 and "error" in err
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"0 1\n1 \xff\n")
+    code, out, err = run(capsys, "oeis-compare", str(path))
+    assert code == 2 and out == "" and err.startswith(f"error: cannot read {path}:")
 
 
 def test_oeis_compare_vacuous(capsys, tmp_path):

@@ -15,6 +15,7 @@ from xxrx import (
     type2_counts,
     verify_bounds,
 )
+from xxrx.counting import MAX_TABLE_LIMIT
 
 # rows 0..12, frozen after independent validation
 U_ROW = [1, 2, 3, 6, 9, 14, 22, 32, 46, 66, 93, 128, 176]
@@ -65,12 +66,27 @@ def test_series_is_order_independent():
 
 @pytest.mark.parametrize("limits", [range(61), [200, 1000, 1201, 2000]])
 def test_packed_series_match_the_sweep(limits):
-    # the slot width and the truncation degree change with the limit, so
-    # an off-by-one in either shows at some limit here
+    # the numerators psi and R gain terms at triangular and
+    # T(n) - T(j) degrees, and the pentagonal offsets at pentagonal ones,
+    # so an off-by-one in any cut-off shows at some limit here
     for limit in limits:
         u, t2 = ref_series(limit)
         assert gf_u_tilde(limit) == u
         assert type2_counts(limit) == t2
+
+
+def test_table_at_the_cap():
+    table = CountTable.build(MAX_TABLE_LIMIT)
+    prefix = CountTable.build(2000)
+    for name in ("u_tilde", "v", "c"):
+        assert table.column(name)[:2001] == prefix.column(name)
+    for n in range(1, MAX_TABLE_LIMIT + 1):
+        u, v, c = table.u_tilde[n], table.v[n], table.c[n]
+        assert u <= 2 * v and v <= u
+        assert u <= c <= 2 * u
+    # measured 1.222e-5, about the dropped 1/n correction
+    err = asymptotic_u_tilde(MAX_TABLE_LIMIT, table.u_tilde[-1]).relative_error_vs_exact
+    assert err < 1.3e-5
 
 
 def test_type2_counts_match_classification():
