@@ -292,6 +292,51 @@ def test_count_bfile_round_trips_through_compare(capsys, tmp_path):
     assert "21 shared indices agree" in out
 
 
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"
+
+
+# every rejection branch with its exit code and its one stderr line;
+# {tmp} stands for a directory holding latin1.txt (not UTF-8) and bad.txt
+@pytest.mark.parametrize(
+    "argv, want_code, want_err",
+    [
+        (["check", "0a1"], 2, "word symbols must be '0' or '1', found 'a'"),
+        (["factor", "000"], 1, "word contains 000 or 111; factorization undefined"),
+        (["invert", "x", "(2,2)"], 2, "start letter must be 0 or 1, not 'x'"),
+        (["invert", "0", "(0)"], 1, "sequence entries must be positive integers, found 0"),
+        (["invert", "0", "(a)"], 2, "non-integer entry in sequence '(a)'"),
+        (["count", "--", "-3"], 2, "N must be nonnegative"),
+        (["count", "10001"], 1, "table index 10001 is above the cap of 10000"),
+        (["asym", "0"], 2, "n must be at least 1"),
+        (
+            ["asym", str(10**100)],
+            1,
+            "n too large: the estimate's power of ten reaches 10^15, where a "
+            "double-precision logarithm no longer fixes its last digit (n ~ 1e30)",
+        ),
+        (["oracle", "--words", "99", "--seq", "4"], 2, "word side limited to 0 <= n <= 24"),
+        (["cfl-verify", "--max-exp", "0"], 2, "max_exp must be between 1 and 10"),
+        (
+            ["oeis-compare", "{tmp}/nope.txt"],
+            2,
+            "cannot read {tmp}/nope.txt: [Errno 2] No such file or directory: '{tmp}/nope.txt'",
+        ),
+        (["oeis-compare", "{tmp}"], 2, "cannot read {tmp}: [Errno 21] Is a directory: '{tmp}'"),
+        (["oeis-compare", "{tmp}/latin1.txt"], 2, f"cannot read {{tmp}}/latin1.txt: {_NOT_UTF8}"),
+        (
+            ["oeis-compare", "{tmp}/bad.txt"],
+            2,
+            "{tmp}/bad.txt: line 2: non-integer field in 'not numbers'",
+        ),
+    ],
+)
+def test_rejection_exit_code_and_message(capsys, tmp_path, argv, want_code, want_err):
+    (tmp_path / "latin1.txt").write_bytes(b"0 1\n1 \xff\n")
+    (tmp_path / "bad.txt").write_text("0 1\nnot numbers\n")
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out, err) == (want_code, "", f"error: {want_err.format(tmp=tmp_path)}\n")
+
+
 @pytest.mark.parametrize("cmdline", ["bench", "gf 8", "check --naive 00"])
 def test_removed_commands_are_usage_errors(capsys, cmdline):
     with pytest.raises(SystemExit) as info:
