@@ -6,144 +6,33 @@ valley-free sequences and their partition-pair encoding, exact and
 asymptotic count tables, brute-force oracles, and the quadruple-family
 predicate, plus a CLI (``xxrx``) wiring it all together.
 
-The kernels (pattern scan, profile extraction, membership) are pure
-Python, in one module; ``BACKEND`` names it.
+The package re-exports the ``__all__`` of each of its seven public
+modules, so a public name is listed once, in its own module.  The
+kernels (pattern scan, profile extraction, membership) are pure Python,
+in one module; ``BACKEND`` names it.
 """
 
 __version__ = "0.1.0"
 
+from . import bruteforce, counting, factorization, intersect, oeis, sequences, words
 from ._backend import BACKEND, available_backends
-from .bruteforce import (
-    MAX_BRUTE_SEQ_WEIGHT,
-    MAX_BRUTE_WORD_LEN,
-    CrossCheckReport,
-    Discrepancy,
-    brute_count_words,
-    brute_count_x,
-    cross_check,
-    iter_words_in_l,
-    iter_x_sequences,
-)
-from .counting import (
-    AsymptoticEstimate,
-    CountTable,
-    asymptotic_u_tilde,
-    count_c,
-    count_v,
-    gf_u_tilde,
-    type2_counts,
-    verify_bounds,
-)
-from .factorization import (
-    FactorDomainError,
-    Factorization,
-    ProfileError,
-    factorize,
-    is_in_l_linear,
-    parse_profile,
-    profile,
-    reconstruct,
-    validate_profile,
-)
-from .intersect import (
-    IntersectionReport,
-    QuadCase,
-    QuadExponents,
-    build_quad_word,
-    quad_predicate,
-    verify_intersection_claim,
-)
-from .oeis import (
-    KNOWN_SEQUENCE_IDS,
-    BFile,
-    BFileParseError,
-    SequenceMismatch,
-    compare_values,
-    format_bfile,
-    parse_bfile,
-    read_bfile,
-)
-from .sequences import (
-    NotInXError,
-    PartitionPair,
-    SequenceClass,
-    SequenceKind,
-    classify,
-    format_pair,
-    format_sequence,
-    in_x,
-    pair_to_sequence,
-    parse_sequence,
-    sequence_to_pairs,
-)
-from .words import (
-    PatternInstance,
-    avoids_xxrx_naive,
-    check_word,
-    complement,
-    find_xxrx_instance,
-    reverse,
-)
+from .bruteforce import *  # noqa: F403
+from .counting import *  # noqa: F403
+from .factorization import *  # noqa: F403
+from .intersect import *  # noqa: F403
+from .oeis import *  # noqa: F403
+from .sequences import *  # noqa: F403
+from .words import *  # noqa: F403
 
 __all__ = [
     "BACKEND",
     "available_backends",
-    "MAX_BRUTE_SEQ_WEIGHT",
-    "MAX_BRUTE_WORD_LEN",
-    "CrossCheckReport",
-    "Discrepancy",
-    "brute_count_words",
-    "brute_count_x",
-    "cross_check",
-    "iter_words_in_l",
-    "iter_x_sequences",
-    "AsymptoticEstimate",
-    "CountTable",
-    "asymptotic_u_tilde",
-    "count_c",
-    "count_v",
-    "gf_u_tilde",
-    "type2_counts",
-    "verify_bounds",
-    "FactorDomainError",
-    "Factorization",
-    "ProfileError",
-    "factorize",
-    "is_in_l_linear",
-    "parse_profile",
-    "profile",
-    "reconstruct",
-    "validate_profile",
-    "IntersectionReport",
-    "QuadCase",
-    "QuadExponents",
-    "build_quad_word",
-    "quad_predicate",
-    "verify_intersection_claim",
-    "KNOWN_SEQUENCE_IDS",
-    "BFile",
-    "BFileParseError",
-    "SequenceMismatch",
-    "compare_values",
-    "format_bfile",
-    "parse_bfile",
-    "read_bfile",
-    "NotInXError",
-    "PartitionPair",
-    "SequenceClass",
-    "SequenceKind",
-    "classify",
-    "format_pair",
-    "format_sequence",
-    "in_x",
-    "pair_to_sequence",
-    "parse_sequence",
-    "sequence_to_pairs",
-    "PatternInstance",
-    "avoids_xxrx_naive",
-    "check_word",
-    "complement",
-    "find_xxrx_instance",
-    "reverse",
+    *bruteforce.__all__,
+    *counting.__all__,
+    *factorization.__all__,
+    *intersect.__all__,
+    *oeis.__all__,
+    *sequences.__all__,
+    *words.__all__,
     "__version__",
 ]

@@ -12,7 +12,9 @@ whole file but parses only rows 0..limit; a fault in a later row shows
 on the next read that reaches it, or on the next store, which reads
 every row.  The file is written to a temporary name and renamed into
 place, so readers never see a partial write.  Cache failures never
-propagate: the worst case is a recompute.
+propagate: the worst case is a recompute.  Where neither variable is set
+and no home directory can be found (HOME unset and no passwd entry for
+the uid), there is no cache: tables are built and nothing is stored.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ def cache_dir() -> Path:
     if env:
         return Path(env)
     xdg = os.environ.get("XDG_CACHE_HOME")
-    base = Path(xdg) if xdg else Path.home() / ".cache"
+    try:
+        base = Path(xdg) if xdg else Path.home() / ".cache"
+    except RuntimeError as exc:
+        # HOME unset and no passwd entry for the uid; callers read OSError as no cache
+        raise OSError(str(exc)) from None
     return base / "xxrx"
 
 

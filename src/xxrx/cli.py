@@ -1,10 +1,21 @@
 """Command-line front end.
 
 Exit codes follow one convention across subcommands: 0 for success or a
-positive verdict, 1 for a negative verdict or a domain rejection (word
-not in the language, count mismatch, impossible profile, table above
-the cap), 2 for input that cannot be parsed at all.  A reader that
-closes the output early ends the process with 1 and no traceback.
+positive verdict, 1 for a negative verdict or a domain rejection, 2 for
+input that cannot be parsed at all.  Each subcommand returns only its
+verdict (0, or 1 for a word not in the language, a count mismatch or a
+failed scan) and raises every rejection; ``main`` alone turns a raised
+``ValueError`` into an ``error:`` line and an exit code:
+
+- ``FactorDomainError`` (a word with 000 or 111), ``ProfileError`` (a
+  profile no word has) and the CLI's own refusals (a table above the
+  cap, ``asym`` from n ~ 1e30) exit 1;
+- any other ``ValueError`` exits 2: a negative N, n < 1, a symbol other
+  than 0 or 1, an unparsable profile or start letter, an oracle or scan
+  range out of bounds, an unreadable or unparsable b-file.
+
+A reader that closes the output early ends the process with 1 and no
+traceback.
 """
 
 from __future__ import annotations
@@ -23,17 +34,10 @@ from .counting import (
     AsymptoticEstimate,
     asymptotic_u_tilde,
 )
-from .factorization import (
-    FactorDomainError,
-    ProfileError,
-    factorize,
-    is_in_l_linear,
-    parse_profile,
-    reconstruct,
-)
+from .factorization import FactorDomainError, ProfileError, factorize, is_in_l_linear, reconstruct
 from .intersect import verify_intersection_claim
 from .oeis import KNOWN_SEQUENCE_IDS, BFileParseError, compare_values, format_bfile, read_bfile
-from .sequences import format_sequence
+from .sequences import format_sequence, parse_sequence
 from .words import find_xxrx_instance
 
 EXIT_OK = 0
@@ -47,24 +51,22 @@ _ASYM_EXACT_LIMIT = 1000
 _ASYM_LOG10_LIMIT = 1e15
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return EXIT_USAGE
+class _Refused(ValueError):
+    """A domain rejection made by the CLI itself; exits 1."""
 
 
-def _over_table_cap(limit: int) -> bool:
-    if limit <= MAX_TABLE_LIMIT:
-        return False
-    print(f"error: table index {limit} is above the cap of {MAX_TABLE_LIMIT}", file=sys.stderr)
-    return True
+# rejections of well-formed input; every other ValueError exits 2
+_DOMAIN_REJECTIONS = (FactorDomainError, ProfileError, _Refused)
+
+
+def _capped(limit: int) -> int:
+    if limit > MAX_TABLE_LIMIT:
+        raise _Refused(f"table index {limit} is above the cap of {MAX_TABLE_LIMIT}")
+    return limit
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        in_l = is_in_l_linear(args.word)
-    except ValueError as exc:
-        return _fail(str(exc))
-    if in_l:
+    if is_in_l_linear(args.word):
         print("IN_L")
         return EXIT_OK
     instance = find_xxrx_instance(args.word)
@@ -73,37 +75,20 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
-    try:
-        f = factorize(args.word)
-    except FactorDomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ValueError as exc:
-        return _fail(str(exc))
+    f = factorize(args.word)
     print(f"start={f.start_letter or '-'} profile={format_sequence(f.profile)}")
     return EXIT_OK
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
-    if args.start not in ("0", "1"):
-        return _fail(f"start letter must be 0 or 1, not {args.start!r}")
-    try:
-        word = reconstruct(args.start, parse_profile(args.profile))
-    except ProfileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except ValueError as exc:
-        return _fail(str(exc))
-    print(word)
+    print(reconstruct(args.start, parse_sequence(args.profile)))
     return EXIT_OK
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     if args.limit < 0:
-        return _fail("N must be nonnegative")
-    if _over_table_cap(args.limit):
-        return EXIT_FAIL
-    table = cached_table(args.limit)
+        raise ValueError("N must be nonnegative")
+    table = cached_table(_capped(args.limit))
     if args.format == "bfile":
         name = COLUMN_ALIASES[args.column or "c"]
         sys.stdout.write(format_bfile(table.column(name)))
@@ -138,18 +123,16 @@ def _format_estimate(est: AsymptoticEstimate) -> str:
 
 def cmd_asym(args: argparse.Namespace) -> int:
     if args.n < 1:
-        return _fail("n must be at least 1")
+        raise ValueError("n must be at least 1")
     exact = None
     if args.n <= _ASYM_EXACT_LIMIT:
         exact = cached_table(args.n).u_tilde[args.n]
     est = asymptotic_u_tilde(args.n, exact)
     if est.log10_value >= _ASYM_LOG10_LIMIT:
-        print(
-            "error: n too large: the estimate's power of ten reaches 10^15, where a "
-            "double-precision logarithm no longer fixes its last digit (n ~ 1e30)",
-            file=sys.stderr,
+        raise _Refused(
+            "n too large: the estimate's power of ten reaches 10^15, where a "
+            "double-precision logarithm no longer fixes its last digit (n ~ 1e30)"
         )
-        return EXIT_FAIL
     line = f"n={est.n} estimate={_format_estimate(est)}"
     if exact is not None:
         line += f" exact={exact} rel_err={est.relative_error_vs_exact:.6e}"
@@ -158,32 +141,26 @@ def cmd_asym(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    try:
-        report = cross_check(args.words, args.seq)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = cross_check(args.words, args.seq)
     sys.stdout.write(report.as_csv() if args.format == "csv" else report.as_text())
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def cmd_cfl_verify(args: argparse.Namespace) -> int:
-    try:
-        report = verify_intersection_claim(args.max_exp)
-    except ValueError as exc:
-        return _fail(str(exc))
+    report = verify_intersection_claim(args.max_exp)
     sys.stdout.write(report.as_csv() if args.format == "csv" else report.as_text())
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
 def cmd_oeis_compare(args: argparse.Namespace) -> int:
-    if _over_table_cap(args.limit):
-        return EXIT_FAIL
+    limit = _capped(args.limit)
     try:
         bfile = read_bfile(args.path)
     except BFileParseError as exc:
-        return _fail(f"{args.path}: {exc}")
-    except (OSError, UnicodeDecodeError) as exc:
-        return _fail(f"cannot read {args.path}: {exc}")
+        raise ValueError(f"{args.path}: {exc}") from None
+    except (OSError, ValueError) as exc:
+        # a missing or undecodable file, or a path the OS cannot take
+        raise ValueError(f"cannot read {args.path}: {exc}") from None
     name = COLUMN_ALIASES[args.column]
     expected_id = KNOWN_SEQUENCE_IDS.get(name)
     if bfile.sequence_id and expected_id and bfile.sequence_id != expected_id:
@@ -192,15 +169,12 @@ def cmd_oeis_compare(args: argparse.Namespace) -> int:
             f"is catalogued as {expected_id}",
             file=sys.stderr,
         )
-    usable = [n for n, _ in bfile.entries if args.offset <= n <= args.limit]
+    usable = [n for n, _ in bfile.entries if args.offset <= n <= limit]
     if not usable:
         print("warning: no overlapping indices; comparison is vacuous")
         return EXIT_OK
     # a negative offset asks for local indices beyond the b-file's
-    top = max(usable) - args.offset
-    if _over_table_cap(top):
-        return EXIT_FAIL
-    table = cached_table(top)
+    table = cached_table(_capped(max(usable) - args.offset))
     mismatches, overlap = compare_values(bfile, table.column(name), args.offset)
     for m in mismatches:
         print(f"n={m.index} local={m.local} reference={m.reference}")
@@ -278,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
         # the interpreter would try to flush again at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL if isinstance(exc, _DOMAIN_REJECTIONS) else EXIT_USAGE
     return code
 
 

@@ -166,3 +166,17 @@ def test_undecodable_file_is_rebuilt(capsys):
     assert main(["asym", "5"]) == 0
     assert capsys.readouterr().err == ""
     assert _load() == CountTable.build(5)
+
+
+def test_no_home_directory_means_no_cache(monkeypatch, capsys):
+    # Path.home raises when HOME is unset and the uid has no passwd entry
+    def no_home(cls):
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.delenv("XXRX_CACHE_DIR", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setattr(Path, "home", classmethod(no_home))
+    assert cached_table(5) == CountTable.build(5)
+    assert main(["count", "3"]) == 0
+    assert main(["asym", "5"]) == 0
+    assert capsys.readouterr().err == ""

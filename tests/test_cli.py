@@ -302,7 +302,7 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
     [
         (["check", "0a1"], 2, "word symbols must be '0' or '1', found 'a'"),
         (["factor", "000"], 1, "word contains 000 or 111; factorization undefined"),
-        (["invert", "x", "(2,2)"], 2, "start letter must be 0 or 1, not 'x'"),
+        (["invert", "x", "(2,2)"], 2, "start letter must be '0' or '1', not 'x'"),
         (["invert", "0", "(0)"], 1, "sequence entries must be positive integers, found 0"),
         (["invert", "0", "(a)"], 2, "non-integer entry in sequence '(a)'"),
         (["count", "--", "-3"], 2, "N must be nonnegative"),
@@ -367,9 +367,14 @@ _profiles = st.text() | st.lists(st.integers(-1, 9), max_size=6).map(
 )
 _formats = st.sampled_from(["text", "csv", "bfile", "x"])
 
+_cap_edges = st.sampled_from(
+    [-MAX_TABLE_LIMIT - 1, -MAX_TABLE_LIMIT, -1, 0, MAX_TABLE_LIMIT, MAX_TABLE_LIMIT + 1]
+).map(str)
+
 # count and oracle stay cheap inside these bounds (count above the table
 # cap is refused before any build); oracle and cfl-verify
-# always get their size options, since their defaults take ~0.2 s a call
+# always get their size options, since their defaults take ~0.2 s a call;
+# oeis-compare never gets a b-file with entries, so it builds no table
 _argv = st.one_of(
     _cat(st.just(["check"]), _arg(_words)),
     _cat(st.just(["factor"]), _arg(_words)),
@@ -393,6 +398,13 @@ _argv = st.one_of(
         _arg(_num(-3, 4) | _num(11, 10**6)),
         _opt("--format", _formats),
     ),
+    _cat(
+        st.just(["oeis-compare"]),
+        _arg(st.sampled_from([os.devnull, "/", "/nonexistent/b000000.txt"]) | st.text()),
+        _opt("--column", st.sampled_from("cvux")),
+        _opt("--limit", _cap_edges),
+        _opt("--offset", _cap_edges),
+    ),
 )
 
 
@@ -401,6 +413,7 @@ _argv = st.one_of(
 @example(["asym", str(10**100)])
 @example(["asym", str(10**400)])
 @example(["asym", str(10**700)])
+@example(["oeis-compare", "b\x00.txt"])
 def test_argv_fuzz_exits_cleanly(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
