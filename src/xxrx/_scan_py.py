@@ -1,13 +1,31 @@
 """Pure-Python scan kernels, re-exported by ``_backend``.
 
 Words arrive as ASCII bytes of b'0'/b'1' (callers validate the alphabet).
+
+Every kernel rests on one pass that finds all doubled letters at once.
+The word is read as a big-endian integer x, one byte per letter, so
+byte k of the n big-endian bytes of x ^ (x >> 8) is w[k-1] ^ w[k] for
+k >= 1.  The codes of '0' and '1' differ only in their low bit, so that
+byte is 0 exactly when w[k-1] == w[k], and 1 otherwise.  A block ends
+at w[k-1] and the next starts at w[k] exactly there, so splitting bytes
+1..n-1 at each 0 leaves one piece per block, one letter short.
+
+Conversion from and to bytes, the shift, the XOR and the split all run
+in C, in time linear in the word length.  No decimal string is built,
+so CPython's limit on int/str conversions (4300 digits by default)
+never applies, and words of any length pass.
 """
 
 from __future__ import annotations
 
-import re
+from itertools import accumulate
 
-_DOUBLE = re.compile(rb"(?=00|11)")
+
+def _blocks(w: bytes) -> list[int]:
+    """Block lengths of a nonempty triple-free word, from one XOR pass."""
+    x = int.from_bytes(w, "big")
+    diff = (x ^ (x >> 8)).to_bytes(len(w), "big")
+    return [len(run) + 1 for run in diff[1:].split(b"\0")]
 
 
 def scan_xxrx(w: bytes) -> tuple[int, int] | None:
@@ -22,12 +40,12 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
         return (i0, 1)
     if i1 >= 0:
         return (i1, 1)
-    # the middle of x x^R is a doubled letter w[k] == w[k+1], k = i + t - 1,
-    # so only the starts i = k - t + 1 can begin an instance
-    doubles = [m.start() for m in _DOUBLE.finditer(w)]
+    # x ends with the letter x^R begins with, so the middle of x x^R is a
+    # doubled letter w[i+t-1] == w[i+t], and a block starts at i + t
+    starts = list(accumulate(_blocks(w)[:-1]))
     for t in range(2, n // 3 + 1):
-        for k in doubles:
-            i = k - t + 1
+        for s in starts:
+            i = s - t
             if i < 0:
                 continue
             if i > n - 3 * t:
@@ -46,16 +64,7 @@ def profile_of(w: bytes) -> list[int]:
     """
     if b"000" in w or b"111" in w:
         raise ValueError("word contains a triple letter")
-    n = len(w)
-    if n == 0:
-        return []
-    doubles = [m.start() for m in _DOUBLE.finditer(w)]
-    if not doubles:
-        return [n]
-    out = [doubles[0] + 1]
-    out.extend(b - a for a, b in zip(doubles, doubles[1:]))
-    out.append(n - 1 - doubles[-1])
-    return out
+    return _blocks(w) if w else []
 
 
 def is_member(w: bytes) -> bool:

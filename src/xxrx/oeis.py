@@ -16,6 +16,7 @@ __all__ = [
     "BFile",
     "BFileParseError",
     "KNOWN_SEQUENCE_IDS",
+    "MAX_BFILE_BYTES",
     "SequenceMismatch",
     "compare_values",
     "format_bfile",
@@ -25,6 +26,9 @@ __all__ = [
 
 # catalog identifiers of the columns this package tabulates
 KNOWN_SEQUENCE_IDS = {"c": "A261204", "u_tilde": "A022567"}
+
+# read_bfile refuses larger files; a b-file of c(0..10000) is ~0.77 MB
+MAX_BFILE_BYTES = 16 * 2**20
 
 _BFILE_NAME = re.compile(r"b(\d{6})\.txt")
 
@@ -68,11 +72,20 @@ def parse_bfile(text: str, sequence_id: str | None = None) -> BFile:
 
 
 def read_bfile(path: str | Path) -> BFile:
-    """Parse a b-file from disk; the id is inferred from names like b261204.txt."""
+    """Parse a UTF-8 b-file from disk; the id is inferred from names like
+    b261204.txt.
+
+    Raises ValueError for a file of more than MAX_BFILE_BYTES bytes,
+    having read at most one byte past the cap.
+    """
     p = Path(path)
     m = _BFILE_NAME.fullmatch(p.name)
     sid = f"A{m.group(1)}" if m else None
-    return parse_bfile(p.read_text(), sid)
+    with p.open("rb") as f:
+        data = f.read(MAX_BFILE_BYTES + 1)
+    if len(data) > MAX_BFILE_BYTES:
+        raise ValueError(f"file is larger than {MAX_BFILE_BYTES} bytes")
+    return parse_bfile(data.decode("utf-8"), sid)
 
 
 def format_bfile(values: Sequence[int], start: int = 0) -> str:

@@ -11,6 +11,7 @@ increasing run, i.e. a pair of partitions into distinct parts.
 from __future__ import annotations
 
 import enum
+import sys
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -141,20 +142,43 @@ def format_sequence(seq: Iterable[int]) -> str:
     return "(" + ",".join(str(d) for d in seq) + ")"
 
 
+def _echo(text: str, limit: int = 60) -> str:
+    """repr of text for an error message, cut to limit characters."""
+    return repr(text) if len(text) <= limit else f"{text[:limit]!r}…"
+
+
 def parse_sequence(text: str) -> tuple[int, ...]:
-    """Inverse of format_sequence; tolerates spaces and a trailing comma."""
+    """Inverse of format_sequence; tolerates spaces and a trailing comma.
+
+    Error messages quote at most the first 60 characters of text.
+    """
     s = text.strip()
     if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"expected a parenthesized sequence, got {text!r}")
+        raise ValueError(f"expected a parenthesized sequence, got {_echo(text)}")
     inner = s[1:-1].strip()
     if inner.endswith(","):
         inner = inner[:-1]
     if not inner:
         return ()
-    try:
-        return tuple(int(part) for part in inner.split(","))
-    except ValueError:
-        raise ValueError(f"non-integer entry in sequence {text!r}") from None
+    out = []
+    for part in inner.split(","):
+        try:
+            out.append(int(part))
+        except ValueError:
+            digits = part.strip()
+            if digits[:1] in ("+", "-"):
+                digits = digits[1:]
+            # int() takes every decimal string except one longer than
+            # sys.get_int_max_str_digits()
+            if digits.isdecimal():
+                what = (
+                    f"entry too long ({len(digits)} digits, "
+                    f"limit {sys.get_int_max_str_digits()})"
+                )
+            else:
+                what = "non-integer entry"
+            raise ValueError(f"{what} in sequence {_echo(text)}") from None
+    return tuple(out)
 
 
 def format_pair(pair: PartitionPair) -> str:

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxrx
-from xxrx import CountTable, cli, count_c, format_bfile
+from xxrx import CountTable, cli, count_c, format_bfile, oeis
 from xxrx.cli import main
 from xxrx.counting import MAX_TABLE_LIMIT
 
@@ -259,6 +259,19 @@ def test_oeis_compare_missing_file(capsys, tmp_path):
     assert code == 2 and out == "" and err.startswith(f"error: cannot read {path}:")
 
 
+def test_oeis_compare_refuses_a_file_over_the_cap(capsys, tmp_path, monkeypatch):
+    body = format_bfile(count_c(5)).encode()
+    monkeypatch.setattr(oeis, "MAX_BFILE_BYTES", len(body))
+    path = tmp_path / "cap.txt"
+    path.write_bytes(body)
+    code, out, err = run(capsys, "oeis-compare", str(path))
+    assert (code, out, err) == (0, "ok: 6 shared indices agree\n", "")
+    path.write_bytes(body + b"\n")
+    code, out, err = run(capsys, "oeis-compare", str(path))
+    want = f"error: cannot read {path}: file is larger than {len(body)} bytes\n"
+    assert (code, out, err) == (2, "", want)
+
+
 def test_oeis_compare_vacuous(capsys, tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("# nothing but comments\n")
@@ -327,6 +340,13 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
             ["oeis-compare", "{tmp}/bad.txt"],
             2,
             "{tmp}/bad.txt: line 2: non-integer field in 'not numbers'",
+        ),
+        pytest.param(
+            ["invert", "0", "(" + "9" * 5000 + ")"],
+            2,
+            f"entry too long (5000 digits, limit {sys.get_int_max_str_digits()}) "
+            f"in sequence '({'9' * 59}'…",
+            id="invert-5000-digit-entry",
         ),
     ],
 )

@@ -1,8 +1,11 @@
 """Direct checks of the pure-Python kernels."""
 
+import random
+
 import pytest
 
-from xxrx import _scan_py
+from helpers import all_words, ref_find_xxrx, ref_in_x_template, ref_profile
+from xxrx import _scan_py, reconstruct
 
 
 def test_profile_raises_on_tripled_letters():
@@ -18,3 +21,90 @@ def test_pure_kernels_direct():
     assert _scan_py.profile_of(b"") == []
     assert _scan_py.is_member(b"00")
     assert not _scan_py.is_member(b"010110100101")
+
+
+def _ref_member(w):
+    try:
+        return ref_in_x_template(ref_profile(w))
+    except ValueError:
+        return False
+
+
+def _agrees_with_reference(w):
+    b = w.encode("ascii")
+    try:
+        want = list(ref_profile(w))
+    except ValueError:
+        with pytest.raises(ValueError):
+            _scan_py.profile_of(b)
+    else:
+        assert _scan_py.profile_of(b) == want
+    assert _scan_py.is_member(b) is _ref_member(w)
+
+
+def _random_profile(rng, length, mountain):
+    """Entries summing to length, interior ones at least 2.  A mountain
+    rises and falls strictly, so its word is a member; otherwise entries
+    are drawn independently and the profile almost surely has a valley."""
+    if mountain:
+        parts, k = [], 2
+        while sum(parts) + k <= length:
+            if rng.random() < 0.5:
+                parts.append(k)
+            k += 1
+        if not parts:
+            return [length]
+        parts[-1] += length - sum(parts)
+        top = parts.pop()
+        left = [p for p in parts if rng.random() < 0.5]
+        right = [p for p in parts if p not in left]
+        return left + [top] + right[::-1]
+    prof = []
+    while sum(prof) < length:
+        prof.append(rng.randint(2, 60))
+    prof[-1] = length - sum(prof[:-1])
+    return prof
+
+
+def _flip(w, k):
+    return w[:k] + ("1" if w[k] == "0" else "0") + w[k + 1:]
+
+
+# 4299 and 4301 letters straddle CPython's 4300-digit limit on int/str
+# conversion, which a kernel reading the word as a number must not meet
+@pytest.mark.parametrize("length", [4299, 4301, 100_003])
+def test_long_words_match_the_reference(length):
+    rng = random.Random(length)
+    for mountain in (True, False):
+        for start in "01":
+            w = reconstruct(start, _random_profile(rng, length, mountain))
+            assert len(w) == length
+            _agrees_with_reference(w)
+            assert _scan_py.is_member(w.encode("ascii")) is mountain
+            for k in [0, length - 1] + rng.sample(range(length), 3):
+                _agrees_with_reference(_flip(w, k))
+
+
+def test_scan_matches_the_reference_on_short_words():
+    rng = random.Random(8)
+    for _ in range(40):
+        prof = _random_profile(rng, rng.randint(3, 300), rng.random() < 0.5)
+        w = reconstruct(rng.choice("01"), prof)
+        for v in (w, _flip(w, rng.randrange(len(w)))):
+            assert _scan_py.scan_xxrx(v.encode("ascii")) == ref_find_xxrx(v)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_every_short_word_matches_the_reference(n):
+    for w in all_words(n):
+        _agrees_with_reference(w)
+        assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w)
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 1000])
+def test_all_doubled_and_undoubled_words(reps):
+    for w in ("0011" * reps, "1100" * reps + "1", "01" * reps, "10" * reps + "1"):
+        _agrees_with_reference(w)
+    assert _scan_py.profile_of(b"0011" * reps) == [1] + [2] * (2 * reps - 1) + [1]
+    assert _scan_py.profile_of(b"01" * reps) == [2 * reps]
+    assert _scan_py.is_member(b"01" * reps)

@@ -1,7 +1,10 @@
+import os
+
 import pytest
 
 from xxrx import (
     KNOWN_SEQUENCE_IDS,
+    MAX_BFILE_BYTES,
     BFile,
     BFileParseError,
     compare_values,
@@ -96,3 +99,9 @@ def test_compare_values_empty_overlap():
 
 def test_known_sequence_ids():
     assert KNOWN_SEQUENCE_IDS == {"c": "A261204", "u_tilde": "A022567"}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_file_is_refused_at_the_cap():
+    with pytest.raises(ValueError, match=f"file is larger than {MAX_BFILE_BYTES} bytes"):
+        read_bfile("/dev/zero")
