@@ -1,21 +1,25 @@
 """Exhaustive reference counts for words and sequences.
 
-Everything here recounts from the definitions: the word side grows the
-words avoiding x x^R x letter by letter, testing each new letter against
-the pattern's definition, and the sequence side walks compositions of n
-and applies the valley test.  Neither consults the series tables they
-are used to check, which is what makes a match evidential.  Hard range
-guards keep runs at desk scale.
+Everything here recounts from the definitions, with one depth-first
+walk per side.  The word side grows the words avoiding x x^R x letter
+by letter, testing each new letter against the pattern's definition;
+the sequence side grows valley-free sequences entry by entry and
+rechecks every one whole with ``sequences.in_x``.  Both sets are
+prefix-closed, so one walk to the cap visits, in preorder, every member
+up to the cap: the counts at every size, the listings of one size and
+the bijection check all read from it.  Neither walk consults the series
+tables they are used to check, or any profile theory, which is what
+makes a match evidential.  Hard range guards keep runs at desk scale.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
 from .counting import CountTable
 from .factorization import profile
-from .sequences import in_x
+from .sequences import _echo, in_x
 
 __all__ = [
     "CrossCheckReport",
@@ -36,50 +40,107 @@ MAX_BRUTE_SEQ_WEIGHT = 40
 # exhaustively (criterion 4)
 _BIJECTION_LEN_CAP = 16
 
+# visit(member, size): called once per member a walk reaches
+Visit = Callable[[object, int], None]
+
 
 def _ends_in_instance(w: str) -> bool:
-    """True iff an x x^R x factor ends at the last letter of w, tested
-    straight from the definition on every suffix of length 3t."""
+    """True iff an x x^R x factor ends at the last letter of w.
+
+    With |x| = t the factor is w[m-3t:m], and its centre joins the last
+    letter of x to the first letter of x^R, which is the same letter:
+    w[m-2t-1] == w[m-2t].  So only the t whose centre is a doubled
+    letter are tested, each straight from the definition.
+    """
     m = len(w)
     for t in range(1, m // 3 + 1):
-        x = w[m - t :]
-        if w[m - 2 * t : m - t] == x[::-1] and w[m - 3 * t : m - 2 * t] == x:
-            return True
+        c = m - 2 * t
+        if w[c - 1] == w[c]:
+            x = w[m - t :]
+            if w[c : m - t] == x[::-1] and w[c - t : c] == x:
+                return True
     return False
 
 
-def _walk(n: int, first_letters: str) -> Iterator[str]:
-    """Yield the length-n words avoiding x x^R x that begin with one of
-    first_letters, in numeric order.
+def _walk_words(n: int, visit: Visit, first_letters: str = "01") -> None:
+    """Visit every word avoiding x x^R x of length at most n, in preorder:
+    the empty word, then those beginning with one of first_letters.
 
     The language is factor-closed, so every prefix of a member is a
     member: depth-first growth that keeps a word only while no instance
     ends at its newest letter reaches every member and visits nothing
-    but members of length up to n.  '0' is tried before '1', which gives
-    the numeric order.
+    but members.  '0' is tried before '1', so the members of any one
+    length are visited in numeric order.
     """
 
-    def extend(w: str) -> Iterator[str]:
-        if len(w) == n:
-            yield w
-            return
-        for letter in "01":
-            child = w + letter
-            if not _ends_in_instance(child):
-                yield from extend(child)
+    def extend(w: str, k: int) -> None:
+        visit(w, k)
+        if k < n:
+            k += 1
+            for child in (w + "0", w + "1"):
+                if not _ends_in_instance(child):
+                    extend(child, k)
 
-    if n == 0:
-        yield ""
-        return
-    for letter in first_letters:
-        yield from extend(letter)
+    visit("", 0)
+    if n:
+        for letter in first_letters:
+            extend(letter, 1)
+    # extend refers to itself: dropping the name frees it, and what
+    # visit holds, now rather than at the next cycle collection
+    del extend
+
+
+def _walk_sequences(n: int, visit: Visit) -> None:
+    """Visit every valley-free positive sequence of weight at most n, in
+    preorder.
+
+    A valley cannot be repaired by later entries, so the valley-free
+    sequences are prefix-closed.  A new entry d makes the last entry of s
+    a valley exactly when s[-2] >= s[-1] <= d, so after a step that does
+    not rise only entries below s[-1] are tried.  Entries are tried
+    smallest first, so the members of any one weight are visited in
+    lexicographic order.  Every node is rechecked whole with in_x; one
+    it rejects is neither visited nor extended.
+    """
+
+    def extend(s: tuple[int, ...], k: int, top: int) -> None:
+        # top: the largest entry that may follow s
+        for d in range(1, top + 1):
+            child = s + (d,)
+            if in_x(child):
+                weight = k + d
+                visit(child, weight)
+                room = n - weight
+                extend(child, weight, room if not s or s[-1] < d else min(room, d - 1))
+
+    visit((), 0)
+    extend((), 0, n)
+    del extend  # as in _walk_words
+
+
+def _census(
+    walk: Callable[..., None], n: int, keep: Iterable[int] = (), *args: str
+) -> tuple[list[int], dict[int, list]]:
+    """Run one walk to size n.  Returns the number of members it visits
+    at each size 0..n, and for each size in keep its members in the
+    order visited."""
+    counts = [0] * (n + 1)
+    kept: dict[int, list] = {k: [] for k in keep}
+
+    def visit(member: object, k: int) -> None:
+        counts[k] += 1
+        if k in kept:
+            kept[k].append(member)
+
+    walk(n, visit, *args)
+    return counts, kept
 
 
 def brute_count_words(n: int) -> int:
     """Number of length-n words avoiding x x^R x, by walking them all."""
     if not 0 <= n <= MAX_BRUTE_WORD_LEN:
         raise ValueError(f"brute-force word count limited to 0 <= n <= {MAX_BRUTE_WORD_LEN}")
-    return sum(1 for _ in _walk(n, "01"))
+    return _census(_walk_words, n)[0][n]
 
 
 def iter_words_in_l(n: int, start_letter: str | None = None) -> Iterator[str]:
@@ -91,40 +152,23 @@ def iter_words_in_l(n: int, start_letter: str | None = None) -> Iterator[str]:
     if not 0 <= n <= MAX_BRUTE_WORD_LEN:
         raise ValueError(f"brute-force word scan limited to 0 <= n <= {MAX_BRUTE_WORD_LEN}")
     if start_letter not in (None, "0", "1"):
-        raise ValueError(f"start letter must be '0' or '1', not {start_letter!r}")
-    yield from _walk(n, start_letter or "01")
+        raise ValueError(f"start letter must be '0' or '1', not {_echo(start_letter)}")
+    yield from _census(_walk_words, n, (n,), start_letter or "01")[1][n]
 
 
 def iter_x_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the valley-free positive sequences of weight n.
-
-    Depth-first over compositions of n; a branch is dropped as soon as
-    its newest interior entry is a valley, since later entries cannot
-    repair one.  Each completed composition is still rechecked whole.
-    """
+    """Yield the valley-free positive sequences of weight n, in
+    lexicographic order."""
     if not 0 <= n <= MAX_BRUTE_SEQ_WEIGHT:
         raise ValueError(f"brute-force sequence scan limited to 0 <= n <= {MAX_BRUTE_SEQ_WEIGHT}")
-
-    def extend(prefix: tuple[int, ...], remaining: int) -> Iterator[tuple[int, ...]]:
-        if remaining == 0:
-            if in_x(prefix):
-                yield prefix
-            return
-        for d in range(1, remaining + 1):
-            cand = prefix + (d,)
-            if len(cand) >= 3 and cand[-3] >= cand[-2] <= cand[-1]:
-                continue
-            yield from extend(cand, remaining - d)
-
-    if n == 0:
-        yield ()
-        return
-    yield from extend((), n)
+    yield from _census(_walk_sequences, n, (n,))[1][n]
 
 
 def brute_count_x(n: int) -> int:
     """Number of valley-free positive sequences of weight n."""
-    return sum(1 for _ in iter_x_sequences(n))
+    if not 0 <= n <= MAX_BRUTE_SEQ_WEIGHT:
+        raise ValueError(f"brute-force sequence scan limited to 0 <= n <= {MAX_BRUTE_SEQ_WEIGHT}")
+    return _census(_walk_sequences, n)[0][n]
 
 
 @dataclass(frozen=True)
@@ -177,26 +221,28 @@ def cross_check(max_word_len: int, max_seq_weight: int) -> CrossCheckReport:
     the table columns c and v.  For n up to min(max_word_len, 16) the
     profiles of the 0-starting words are additionally required to be
     distinct and to cover exactly the weight-n valley-free sequences.
-    Disagreements are collected, not raised.
+    Each side is one walk, to its cap or to the bijection's, whichever
+    is larger.  Disagreements are collected, not raised.
     """
     if not 0 <= max_word_len <= MAX_BRUTE_WORD_LEN:
         raise ValueError(f"word side limited to 0 <= n <= {MAX_BRUTE_WORD_LEN}")
     if not 0 <= max_seq_weight <= MAX_BRUTE_SEQ_WEIGHT:
         raise ValueError(f"sequence side limited to 0 <= n <= {MAX_BRUTE_SEQ_WEIGHT}")
     table = CountTable.build(max(max_word_len, max_seq_weight))
+    sizes = range(min(max_word_len, _BIJECTION_LEN_CAP) + 1)
+    word_counts, words = _census(_walk_words, max_word_len, sizes)
+    seq_counts, seqs = _census(_walk_sequences, max(max_seq_weight, sizes[-1]), sizes)
     rows = []
     for n in range(max_word_len + 1):
-        brute = brute_count_words(n)
-        if brute != table.c[n]:
-            rows.append(Discrepancy(n, "words", brute, table.c[n]))
+        if word_counts[n] != table.c[n]:
+            rows.append(Discrepancy(n, "words", word_counts[n], table.c[n]))
     for n in range(max_seq_weight + 1):
-        brute = brute_count_x(n)
-        if brute != table.v[n]:
-            rows.append(Discrepancy(n, "sequences", brute, table.v[n]))
-    for n in range(min(max_word_len, _BIJECTION_LEN_CAP) + 1):
-        profiles = [profile(w) for w in iter_words_in_l(n, "0")]
+        if seq_counts[n] != table.v[n]:
+            rows.append(Discrepancy(n, "sequences", seq_counts[n], table.v[n]))
+    for n in sizes:
+        profiles = [profile(w) for w in words[n] if not w.startswith("1")]
         image = set(profiles)
-        targets = set(iter_x_sequences(n))
+        targets = set(seqs[n])
         if len(image) != len(profiles) or image != targets:
             rows.append(Discrepancy(n, "bijection", len(targets), len(image & targets)))
     return CrossCheckReport(max_word_len, max_seq_weight, tuple(rows))

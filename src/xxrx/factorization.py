@@ -16,7 +16,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import _backend
-from .sequences import _entries, parse_sequence
+from .sequences import _echo, _entries, parse_sequence
 from .words import check_word
 
 __all__ = [
@@ -104,7 +104,7 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
     at the junction.
     """
     if start_letter not in ("0", "1"):
-        raise ValueError(f"start letter must be '0' or '1', not {start_letter!r}")
+        raise ValueError(f"start letter must be '0' or '1', not {_echo(start_letter)}")
     p = validate_profile(entries)
     weight = sum(p)
     if weight > MAX_RECONSTRUCT_LEN:

@@ -142,9 +142,12 @@ def format_sequence(seq: Iterable[int]) -> str:
     return "(" + ",".join(str(d) for d in seq) + ")"
 
 
-def _echo(text: str, limit: int = 60) -> str:
-    """repr of text for an error message, cut to limit characters."""
-    return repr(text) if len(text) <= limit else f"{text[:limit]!r}…"
+def _echo(text: object, limit: int = 60) -> str:
+    """repr of text for an error message; a string is cut to limit
+    characters."""
+    if isinstance(text, str) and len(text) > limit:
+        return f"{text[:limit]!r}…"
+    return repr(text)
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:

@@ -2,6 +2,8 @@ import pytest
 
 from helpers import compositions, ref_in_x_template
 from xxrx import (
+    MAX_BRUTE_SEQ_WEIGHT,
+    MAX_BRUTE_WORD_LEN,
     CrossCheckReport,
     Discrepancy,
     avoids_xxrx_naive,
@@ -12,6 +14,7 @@ from xxrx import (
     iter_words_in_l,
     iter_x_sequences,
 )
+from xxrx import bruteforce, sequences
 
 
 def test_brute_count_words_examples():
@@ -79,6 +82,11 @@ def test_iter_words_in_l_validates_arguments():
         list(iter_words_in_l(30))
     with pytest.raises(ValueError):
         list(iter_words_in_l(3, "2"))
+    with pytest.raises(ValueError, match="not 5$"):
+        list(iter_words_in_l(3, 5))
+    with pytest.raises(ValueError) as info:
+        list(iter_words_in_l(3, "x" * 300))
+    assert str(info.value) == f"start letter must be '0' or '1', not '{'x' * 60}'…"
 
 
 def test_word_count_doubles_sequence_count():
@@ -107,3 +115,34 @@ def test_report_rendering_with_rows():
     assert not report.ok
     assert "n=3 side=words expected=6 got=7" in report.as_text()
     assert report.as_csv() == "n,side,expected,got\n3,words,6,7\n"
+
+
+def _ends_in_instance_every_t(w):
+    m = len(w)
+    for t in range(1, m // 3 + 1):
+        x = w[m - t :]
+        if w[m - 2 * t : m - t] == x[::-1] and w[m - 3 * t : m - 2 * t] == x:
+            return True
+    return False
+
+
+def test_doubled_centre_scan_agrees_with_every_t_scan():
+    for n in range(15):
+        for w in _all(n):
+            assert bruteforce._ends_in_instance(w) == _ends_in_instance_every_t(w), w
+
+
+def test_every_sequence_node_is_rechecked_with_in_x(monkeypatch):
+    def no_equal_pair(s):
+        s = tuple(s)
+        return sequences.in_x(s) and all(a != b for a, b in zip(s, s[1:]))
+
+    monkeypatch.setattr(bruteforce, "in_x", no_equal_pair)
+    report = cross_check(0, 8)
+    assert {d.side for d in report.discrepancies} == {"sequences"}
+    assert list(iter_x_sequences(4)) == [(1, 2, 1), (1, 3), (3, 1), (4,)]
+    assert brute_count_x(4) == 4
+
+
+def test_cross_check_at_both_caps():
+    assert cross_check(MAX_BRUTE_WORD_LEN, MAX_BRUTE_SEQ_WEIGHT).ok

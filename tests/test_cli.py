@@ -348,6 +348,12 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
             f"in sequence '({'9' * 59}'…",
             id="invert-5000-digit-entry",
         ),
+        pytest.param(
+            ["invert", "x" * 300, "(2,2)"],
+            2,
+            f"start letter must be '0' or '1', not '{'x' * 60}'…",
+            id="invert-long-start-letter",
+        ),
     ],
 )
 def test_rejection_exit_code_and_message(capsys, tmp_path, argv, want_code, want_err):
