@@ -14,10 +14,15 @@ Conversion from and to bytes, the shift, the XOR and the split all run
 in C, in time linear in the word length.  No decimal string is built,
 so CPython's limit on int/str conversions (4300 digits by default)
 never applies, and words of any length pass.
+
+``scan_xxrx`` tests the definition only at pairs of block starts that
+can be the two centres of an instance, in the order (t, i) that makes
+the first hit the answer.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heapreplace
 from itertools import accumulate
 
 
@@ -40,19 +45,36 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
         return (i0, 1)
     if i1 >= 0:
         return (i1, 1)
-    # x ends with the letter x^R begins with, so the middle of x x^R is a
-    # doubled letter w[i+t-1] == w[i+t], and a block starts at i + t
+    # both centres of x x^R x are doubled letters: x ends with the letter
+    # x^R begins with, and x^R ends with the letter x begins with.  So
+    # s1 = i + t and s2 = i + 2t are block starts and t = s2 - s1.  The
+    # pairs from one s1 come in rising t, and a pair that runs off either
+    # end means every later one from that s1 does too, so one pending
+    # pair per s1 in a heap on (t, s1) visits the candidates in (t, i)
+    # order.  t >= 2 throughout, since starts of a triple-free word differ
+    # by at least 2.
     starts = list(accumulate(_blocks(w)[:-1]))
-    for t in range(2, n // 3 + 1):
-        for s in starts:
-            i = s - t
-            if i < 0:
+    last = len(starts)
+    heap = [
+        (s2 - s1, s1, b)
+        for b, (s1, s2) in enumerate(zip(starts, starts[1:]), 1)
+        if s2 <= 2 * s1 and 2 * s2 - s1 <= n
+    ]
+    heapify(heap)
+    while heap:
+        t, s1, b = heap[0]
+        s2 = s1 + t
+        x = w[s1 - t:s1]
+        # x again first: it needs no reversed copy
+        if w[s2:s2 + t] == x and w[s1:s2] == x[::-1]:
+            return (s1 - t, t)
+        b += 1
+        if b < last:
+            t = starts[b] - s1
+            if t <= s1 and s1 + 2 * t <= n:
+                heapreplace(heap, (t, s1, b))
                 continue
-            if i > n - 3 * t:
-                break
-            x = w[i:i + t]
-            if w[i + t:i + 2 * t] == x[::-1] and w[i + 2 * t:i + 3 * t] == x:
-                return (i, t)
+        heappop(heap)
     return None
 
 

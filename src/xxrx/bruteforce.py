@@ -47,15 +47,17 @@ Visit = Callable[[object, int], None]
 def _ends_in_instance(w: str) -> bool:
     """True iff an x x^R x factor ends at the last letter of w.
 
-    With |x| = t the factor is w[m-3t:m], and its centre joins the last
-    letter of x to the first letter of x^R, which is the same letter:
-    w[m-2t-1] == w[m-2t].  So only the t whose centre is a doubled
-    letter are tested, each straight from the definition.
+    With |x| = t the factor is w[m-3t:m].  Its first centre joins the
+    last letter of x to the first letter of x^R, which is the same
+    letter: w[m-2t-1] == w[m-2t].  Its second centre joins the last
+    letter of x^R to the first letter of x, again the same letter:
+    w[m-t-1] == w[m-t].  So only the t whose two centres are both
+    doubled letters are tested, each straight from the definition.
     """
     m = len(w)
     for t in range(1, m // 3 + 1):
         c = m - 2 * t
-        if w[c - 1] == w[c]:
+        if w[c - 1] == w[c] and w[m - t - 1] == w[m - t]:
             x = w[m - t :]
             if w[c : m - t] == x[::-1] and w[c - t : c] == x:
                 return True

@@ -10,9 +10,9 @@ failed scan) and raises every rejection; ``main`` alone turns a raised
 - ``FactorDomainError`` (a word with 000 or 111), ``ProfileError`` (a
   profile no word has) and the CLI's own refusals (a table above the
   cap, ``asym`` from n ~ 1e30) exit 1;
-- any other ``ValueError`` exits 2: a negative N, n < 1, a symbol other
-  than 0 or 1, an unparsable profile or start letter, an oracle or scan
-  range out of bounds, an unreadable or unparsable b-file.
+- any other ``ValueError`` exits 2: a negative N or ``--limit``, n < 1,
+  a symbol other than 0 or 1, an unparsable profile or start letter, an
+  oracle or scan range out of bounds, an unreadable or unparsable b-file.
 
 A reader that closes the output early ends the process with 1 and no
 traceback.
@@ -153,6 +153,8 @@ def cmd_cfl_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis_compare(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise ValueError("--limit must be nonnegative")
     limit = _capped(args.limit)
     try:
         bfile = read_bfile(args.path)

@@ -61,6 +61,14 @@ def _entries(seq: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
+def _first_valley(s: tuple[int, ...]) -> int:
+    """Smallest 1-based valley index of s, or 0 if it has none."""
+    for j in range(1, len(s) - 1):
+        if s[j - 1] >= s[j] <= s[j + 1]:
+            return j + 1
+    return 0
+
+
 def classify(seq: Iterable[int]) -> SequenceClass:
     """Classify a positive sequence as TYPE1, TYPE2, or NOT_IN_X.
 
@@ -69,9 +77,9 @@ def classify(seq: Iterable[int]) -> SequenceClass:
     """
     s = _entries(seq)
     m = len(s)
-    for j in range(1, m - 1):
-        if s[j - 1] >= s[j] <= s[j + 1]:
-            return SequenceClass(SequenceKind.NOT_IN_X, j + 1)
+    valley = _first_valley(s)
+    if valley:
+        return SequenceClass(SequenceKind.NOT_IN_X, valley)
     # valley-free: at most one equal adjacent pair, and it sits at the peak
     for j in range(m - 1):
         if s[j] == s[j + 1]:
@@ -82,8 +90,9 @@ def classify(seq: Iterable[int]) -> SequenceClass:
 
 
 def in_x(seq: Iterable[int]) -> bool:
-    """True iff the sequence is valley-free (TYPE1 or TYPE2)."""
-    return classify(seq).kind is not SequenceKind.NOT_IN_X
+    """True iff the sequence is valley-free (TYPE1 or TYPE2): classify's
+    verdict from its valley test alone, with no peak witness."""
+    return not _first_valley(_entries(seq))
 
 
 def _strictly_increasing(parts: Sequence[int]) -> bool:

@@ -354,6 +354,12 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
             f"start letter must be '0' or '1', not '{'x' * 60}'…",
             id="invert-long-start-letter",
         ),
+        pytest.param(
+            ["oeis-compare", "{tmp}/bad.txt", "--limit", "-1"],
+            2,
+            "--limit must be nonnegative",
+            id="oeis-compare-negative-limit",
+        ),
     ],
 )
 def test_rejection_exit_code_and_message(capsys, tmp_path, argv, want_code, want_err):

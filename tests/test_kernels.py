@@ -101,6 +101,41 @@ def test_every_short_word_matches_the_reference(n):
         assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w)
 
 
+def test_scan_matches_the_reference_on_every_word_to_16():
+    for n in range(17):
+        for w in all_words(n):
+            assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w)
+
+
+# many blocks and no triple letter, so any instance is found by the
+# pair scan, here at t = 2
+@pytest.mark.parametrize(
+    "w, want",
+    [
+        ("0110" * 750, (0, 2)),
+        ("0011" * 1 + "0", None),
+        ("0011" * 2 + "0", (1, 2)),
+        ("0011" * 3 + "0", (1, 2)),
+        ("0011" * 2000 + "0", (1, 2)),
+    ],
+)
+def test_scan_on_many_blocks(w, want):
+    assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w) == want
+
+
+# one instance, of a long x in the middle of a long word: every shorter
+# pair of block starts must be passed over first
+@pytest.mark.parametrize(
+    "profile, want",
+    [
+        ((*range(1, 300), 300, 300, 300, *range(299, 0, -1)), (44850, 300)),
+        ((*range(2, 700, 2), 700, 700, 700, *range(698, 0, -2)), (122150, 700)),
+    ],
+)
+def test_scan_finds_one_long_x(profile, want):
+    assert _scan_py.scan_xxrx(reconstruct("0", profile).encode("ascii")) == want
+
+
 @pytest.mark.parametrize("reps", [1, 2, 3, 1000])
 def test_all_doubled_and_undoubled_words(reps):
     for w in ("0011" * reps, "1100" * reps + "1", "01" * reps, "10" * reps + "1"):

@@ -42,6 +42,25 @@ def test_in_x_examples():
     assert in_x(())
 
 
+def test_in_x_is_classify_without_the_witness():
+    for n in range(15):
+        for s in compositions(n):
+            want = classify(s).kind is not SequenceKind.NOT_IN_X
+            assert in_x(s) is want
+            assert in_x(list(s)) is want
+            assert in_x(d for d in s) is want
+
+
+@pytest.mark.parametrize("bad", [(0,), (3, -1), (1, 0, 1), (2, 1.5), (1, "2", 1)])
+def test_in_x_rejects_entries_as_classify_does(bad):
+    with pytest.raises(ValueError) as want:
+        classify(bad)
+    for arg in (bad, list(bad), iter(bad)):
+        with pytest.raises(ValueError) as got:
+            in_x(arg)
+        assert str(got.value) == str(want.value)
+
+
 def test_pair_to_sequence_examples():
     assert pair_to_sequence(PartitionPair((1, 3), (2,))) == (1, 3, 2)
     assert pair_to_sequence(PartitionPair((), ())) == ()
