@@ -22,7 +22,7 @@ the first hit the answer.
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heapreplace
+from heapq import heappop, heappush, heapreplace
 from itertools import accumulate
 
 
@@ -53,16 +53,26 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     # pair per s1 in a heap on (t, s1) visits the candidates in (t, i)
     # order.  t >= 2 throughout, since starts of a triple-free word differ
     # by at least 2.
-    starts = list(accumulate(_blocks(w)[:-1]))
+    blocks = _blocks(w)
+    starts = list(accumulate(blocks[:-1]))
     last = len(starts)
-    heap = [
-        (s2 - s1, s1, b)
-        for b, (s1, s2) in enumerate(zip(starts, starts[1:]), 1)
-        if s2 <= 2 * s1 and 2 * s2 - s1 <= n
-    ]
-    heapify(heap)
+    # The first pair from s1 = starts[b - 1] has t = blocks[b], so a stable
+    # sort on blocks[b] puts the first pairs in (t, s1) order.  Each enters
+    # the heap only when the one before it is taken: an entry (t, s1, b, k)
+    # with k > 0 admits firsts[k].  So an early hit skips the rest.
+    firsts = sorted(range(1, last), key=blocks.__getitem__)
+    firsts.append(0)
+    b = firsts[0]
+    heap = [(blocks[b], starts[b - 1], b, 1)] if b else []
     while heap:
-        t, s1, b = heap[0]
+        t, s1, b, k = heap[0]
+        if k:
+            after = firsts[k]
+            if after:
+                heappush(heap, (blocks[after], starts[after - 1], after, k + 1))
+            if t > s1 or s1 + 2 * t > n:
+                heappop(heap)
+                continue
         s2 = s1 + t
         x = w[s1 - t:s1]
         # x again first: it needs no reversed copy
@@ -72,7 +82,7 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
         if b < last:
             t = starts[b] - s1
             if t <= s1 and s1 + 2 * t <= n:
-                heapreplace(heap, (t, s1, b))
+                heapreplace(heap, (t, s1, b, 0))
                 continue
         heappop(heap)
     return None

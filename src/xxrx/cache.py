@@ -7,14 +7,27 @@ stamp line and ends with a trailer holding the row count, so a file cut
 short reads as incomplete rather than as a shorter table.  Anything
 unreadable, undecodable, unparsable, differently stamped, without its
 trailer, or failing the table's parity guard is treated as absent.  A
-hit for index limit checks the stamp, header and trailer against the
-whole file but parses only rows 0..limit; a fault in a later row shows
-on the next read that reaches it, or on the next store, which reads
-every row.  The file is written to a temporary name and renamed into
-place, so readers never see a partial write.  Cache failures never
-propagate: the worst case is a recompute.  Where neither variable is set
-and no home directory can be found (HOME unset and no passwd entry for
-the uid), there is no cache: tables are built and nothing is stored.
+hit for index limit checks the stamp, the header, the trailer and the
+row just before it, which must be the last row the trailer counts, but
+splits off and parses only rows 0..limit; a fault in a row between
+those shows on the next read that reaches it.
+
+Each read takes the whole text of the file.  The process keeps one
+memo: the last text a read parsed, with the table read from it through
+that read's limit.  A read whose text equals the memo's and whose limit
+is within it slices the memo's table and parses nothing; any other read
+parses and refreshes the memo.  The key is the text itself, not a file
+time or size, so a hit gives exactly what parsing the same text would,
+even after an in-place rewrite of the same size.  A fresh process starts
+with no memo, so a one-shot CLI run always parses.  A store parses the
+existing file only when its trailer counts more rows than the new
+table, since only a valid longer file is kept.
+
+The file is written to a temporary name and renamed into place, so
+readers never see a partial write.  Cache failures never propagate: the
+worst case is a recompute.  Where neither variable is set and no home
+directory can be found (HOME unset and no passwd entry for the uid),
+there is no cache: tables are built and nothing is stored.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ ENV_CACHE_DIR = "XXRX_CACHE_DIR"
 _FILENAME = "table.csv"
 STAMP = "# xxrx tables v3"
 _HEADER = "n,u_tilde,t2"
+_TRAILER = "# rows "
 
 
 def cache_dir() -> Path:
@@ -48,26 +62,47 @@ def cache_dir() -> Path:
 
 
 def _trailer(rows: int) -> str:
-    return f"# rows {rows}"
+    return f"{_TRAILER}{rows}"
 
 
-def _load(limit: int | None = None) -> CountTable | None:
-    """The cached table through index limit (every stored row when limit
-    is None), or None if the file is absent, invalid or too short.
-
-    The stamp, header and trailer are checked against the whole file;
-    only the rows served are parsed and checked.
-    """
+def _rows(text: str) -> int:
+    """The row count that the trailer of text names, or 0 if its last line
+    is not a trailer or the line before it is not that count's last row."""
+    end = len(text) - text.endswith("\n")
+    begin = text.rfind("\n", 0, end) + 1
+    line = text[begin:end]
+    digits = line.removeprefix(_TRAILER)
+    # no real table has 19 digits of rows, so longer ones are not converted
+    if begin == 0 or len(digits) > 18:
+        return 0
     try:
-        lines = (cache_dir() / _FILENAME).read_text().splitlines()
-    except (OSError, UnicodeDecodeError):
-        return None
-    rows = len(lines) - 3
-    if rows < 1 or lines[0] != STAMP or lines[1] != _HEADER or lines[-1] != _trailer(rows):
+        rows = int(digits)
+    except ValueError:
+        return 0
+    last_row = text.rfind("\n", 0, begin - 1) + 1
+    if line != _trailer(rows) or not text.startswith(f"{rows - 1},", last_row):
+        return 0
+    return rows
+
+
+def _parse(text: str, limit: int | None = None) -> CountTable | None:
+    """The table that text holds through index limit (every row when
+    limit is None), or None if text is invalid or too short.
+
+    Lines end in a newline, the last one possibly not.  The stamp,
+    header and trailer are checked, and the row count the trailer
+    names is taken as the file's once the line before the trailer is that
+    count's last row; only the rows served are split off and parsed.
+    """
+    rows = _rows(text)
+    if rows < 1:
         return None
     if limit is None:
         limit = rows - 1
     elif limit >= rows:
+        return None
+    lines = text.split("\n", limit + 3)
+    if lines[0] != STAMP or lines[1] != _HEADER:
         return None
     try:
         parsed = [tuple(map(int, line.split(","))) for line in lines[2 : limit + 3]]
@@ -82,10 +117,46 @@ def _load(limit: int | None = None) -> CountTable | None:
         return None
 
 
+def _read() -> str | None:
+    # text mode reads CR LF and CR line ends as LF, the one _parse splits at
+    try:
+        return (cache_dir() / _FILENAME).read_text()
+    except (OSError, UnicodeDecodeError):
+        return None
+
+
+# the last text _load parsed successfully, and the table it read from it
+_memo: tuple[str, CountTable] | None = None
+
+
+def _load(limit: int | None = None) -> CountTable | None:
+    """The cached table through index limit (every stored row when limit
+    is None), or None if the file is absent, invalid or too short.
+
+    When the file's text equals the memo's and limit is within the memo's
+    table, that table is sliced; otherwise the text is parsed, and a table
+    read from it becomes the memo.
+    """
+    global _memo
+    text = _read()
+    if text is None:
+        return None
+    # one read of the global, so that text and table come from one memo
+    memo = _memo
+    if memo is not None and limit is not None and limit <= memo[1].limit and memo[0] == text:
+        table = memo[1]
+        return CountTable(limit, *(col[: limit + 1] for col in (table.u_tilde, table.v, table.c)))
+    table = _parse(text, limit)
+    if table is not None:
+        _memo = (text, table)
+    return table
+
+
 def _store(table: CountTable) -> None:
     """Write the table's series, silently giving up on any filesystem trouble."""
-    existing = _load()
-    if existing is not None and existing.limit >= table.limit:
+    text = _read()
+    # only a valid file of more rows than the table is kept
+    if text is not None and _rows(text) > table.limit + 1 and _parse(text) is not None:
         return
     lines = [STAMP, _HEADER]
     lines.extend(f"{n},{un},{tn}" for n, (un, tn) in enumerate(zip(table.u_tilde, table.t2)))

@@ -180,3 +180,100 @@ def test_no_home_directory_means_no_cache(monkeypatch, capsys):
     assert main(["count", "3"]) == 0
     assert main(["asym", "5"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def count_parses(monkeypatch):
+    """Count CountTable.from_series calls, which every parse of rows makes."""
+    calls = []
+    from_series = CountTable.from_series
+
+    def counted(limit, u, t2):
+        calls.append(limit)
+        return from_series(limit, u, t2)
+
+    monkeypatch.setattr(CountTable, "from_series", counted)
+    return calls
+
+
+def test_same_size_edit_after_a_read_is_seen(monkeypatch):
+    full = cached_table(30)
+    assert _load(30) == full
+    size = table_path().stat().st_size
+    # t2(10) = 7; one more makes u_tilde(10) + t2(10) odd, at the same size
+    rewrite(lambda lines: [line.replace("10,93,7", "10,93,8") for line in lines])
+    assert table_path().stat().st_size == size
+    assert _load(30) is None
+    builds = []
+    build = CountTable.build
+    monkeypatch.setattr(CountTable, "build", lambda limit: builds.append(limit) or build(limit))
+    assert cached_table(30) == full
+    assert builds == [30]
+    assert "10,93,7" in table_path().read_text()
+    assert _load() == full
+
+
+def test_repeated_reads_of_unchanged_text_do_not_parse(monkeypatch):
+    tables = {n: CountTable.build(n) for n in (0, 25, 33, 40, 45, 50)}
+    cached_table(40)
+    assert _load(40) == tables[40]
+    calls = count_parses(monkeypatch)
+    # the same bytes written again are the same text, whatever the mtime
+    table_path().write_text(table_path().read_text())
+    for limit in (40, 40, 25, 0):
+        assert _load(limit) == tables[limit]
+    assert cached_table(33) == tables[33]
+    assert calls == []
+    # a read further than the memo reaches parses again
+    _store(tables[50])
+    assert _load(45) == tables[45]
+    assert calls == [45]
+
+
+def test_store_over_a_shorter_file_does_not_parse_it(monkeypatch):
+    _store(CountTable.build(10))
+    table = CountTable.build(20)
+    calls = count_parses(monkeypatch)
+    # over a file of fewer rows than the table, then over one of as many
+    for _ in range(2):
+        _store(table)
+        assert calls == []
+        assert _load() == table
+        del calls[:]
+
+
+def test_store_replaces_a_longer_file_with_a_bad_row_past_its_limit():
+    _store(CountTable.build(40))
+    rewrite(lambda lines: lines[:37] + ["35,unparsable,0"] + lines[38:])
+    # the bad row lies past what the shorter table's read would reach
+    assert _load(20) == CountTable.build(20)
+    _store(CountTable.build(20))
+    assert _load() == CountTable.build(20)
+
+
+def test_large_file_read_and_its_trailer():
+    _store(CountTable.build(10_000))
+    text = table_path().read_text()
+    assert text.endswith("\n# rows 10001\n")
+    assert _load(1000) == CountTable.build(1000)
+    body = text[: -len("# rows 10001\n")]
+    # a trailer that names another count, no trailer at all, and a cut file
+    for bad in (
+        body + "# rows 10002\n",
+        body + "# rows 10000\n",
+        body + "# rows 10001x\n",
+        body,
+        text[:-40],
+    ):
+        table_path().write_text(bad)
+        assert _load(1000) is None
+
+
+def test_line_endings_do_not_change_the_table():
+    table = CountTable.build(12)
+    _store(table)
+    text = table_path().read_text()
+    for variant in (text.replace("\n", "\r\n"), text[:-1], text.replace("\n", "\r\n")[:-2]):
+        table_path().write_bytes(variant.encode())
+        for limit in (None, 0, 5, 12):
+            assert _load(limit) == (table if limit is None else CountTable.build(limit))
+        assert _load(13) is None
