@@ -28,7 +28,7 @@ product of (1 - q^j) over j >= 1, in O(N^1.5) additions each:
   sequences listed one by one up to weight 14.
 * t2 = u_tilde - 1 - 2U exactly: (1 + q^(p+1))^2 - 1 = 2 q^(p+1) +
   q^(2p+2); times the product of (1 + q^j)^2 for j <= p, it telescopes
-  over p.
+  over p.  So v = u_tilde - U, which is how CountTable.build takes it.
 """
 
 from __future__ import annotations
@@ -90,7 +90,7 @@ def _over_euler(numerator: Sequence[int]) -> list[int]:
 
 
 def _series(limit: int) -> tuple[list[int], list[int]]:
-    """Coefficients 0..limit of u_tilde and t2 (module docstring)."""
+    """Coefficients 0..limit of u_tilde and U (module docstring)."""
     u = gf_u_tilde(limit)
     r = [0] * (limit + 1)
     # the exponents of R fall with j, and for each n the smallest is at
@@ -101,8 +101,7 @@ def _series(limit: int) -> tuple[list[int], list[int]]:
             if degree > limit:
                 break
             r[degree] += -1 if j % 2 else 1
-    strict = _over_euler(r)
-    return u, [0] + [un - 2 * sn for un, sn in zip(u[1:], strict[1:])]
+    return u, _over_euler(r)
 
 
 def gf_u_tilde(limit: int) -> list[int]:
@@ -121,7 +120,8 @@ def type2_counts(limit: int) -> list[int]:
     increasing runs below p on either side, giving the series sum over
     p >= 1 of q^(2p) times the product of (1 + q^j)^2 for j < p.
     """
-    return _series(limit)[1]
+    u, strict = _series(limit)
+    return [0] + [un - 2 * sn for un, sn in zip(u[1:], strict[1:])]
 
 
 def count_v(limit: int) -> list[int]:
@@ -145,26 +145,11 @@ class CountTable:
 
     @classmethod
     def build(cls, limit: int) -> CountTable:
-        return cls.from_series(limit, *_series(limit))
-
-    @classmethod
-    def from_series(cls, limit: int, u: Sequence[int], t2: Sequence[int]) -> CountTable:
-        """The table with v = (u_tilde + t2) / 2 and c = 2 v, both 1 at n = 0."""
-        v = [1]
-        for n in range(1, limit + 1):
-            total = u[n] + t2[n]
-            if total % 2:
-                raise RuntimeError(
-                    f"double-counting parity broken at weight {n}: {u[n]} + {t2[n]} is odd"
-                )
-            v.append(total // 2)
-        c = [1] + [2 * vn for vn in v[1:]]
-        return cls(limit, tuple(u), tuple(v), tuple(c))
-
-    @property
-    def t2(self) -> tuple[int, ...]:
-        """The equal-peak series: c - u_tilde, which is 0 at n = 0."""
-        return tuple(cn - un for un, cn in zip(self.u_tilde, self.c))
+        """The table with v = u_tilde - U and c = 2 v, both 1 at n = 0."""
+        u, strict = _series(limit)
+        v = tuple(un - sn for un, sn in zip(u, strict))
+        c = (1,) + tuple(2 * vn for vn in v[1:])
+        return cls(limit, tuple(u), v, c)
 
     def column(self, name: str) -> tuple[int, ...]:
         try:
