@@ -14,8 +14,8 @@ makes a match evidential.  Hard range guards keep runs at desk scale.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
 
 from .counting import CountTable
 from .factorization import profile
@@ -173,18 +173,22 @@ def brute_count_x(n: int) -> int:
     return _census(_walk_sequences, n)[0][n]
 
 
-@dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(namedtuple("Discrepancy", "n side expected got")):
     """One disagreement row: expected is the brute-force value."""
 
+    __slots__ = ()
     n: int
     side: str  # "words", "sequences", or "bijection"
     expected: int
     got: int
 
 
-@dataclass(frozen=True)
-class CrossCheckReport:
+class CrossCheckReport(
+    namedtuple("CrossCheckReport", "max_word_len max_seq_weight discrepancies")
+):
+    """The rows on which the tables and the brute-force oracles disagree."""
+
+    __slots__ = ()
     max_word_len: int
     max_seq_weight: int
     discrepancies: tuple[Discrepancy, ...]

@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 __all__ = [
     "AsymptoticEstimate",
@@ -134,10 +134,10 @@ def count_c(limit: int) -> list[int]:
     return list(CountTable.build(limit).c)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(namedtuple("CountTable", "limit u_tilde v c")):
     """Immutable columns u_tilde, v, c over indices 0..limit."""
 
+    __slots__ = ()
     limit: int
     u_tilde: tuple[int, ...]
     v: tuple[int, ...]
@@ -183,8 +183,9 @@ def _log_estimate(n: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(
+    namedtuple("AsymptoticEstimate", "n value relative_error_vs_exact", defaults=(None,))
+):
     """Closed-form estimate of u_tilde(n), first correction term included.
 
     The next correction of order 1/n is dropped; relative_error_vs_exact
@@ -196,9 +197,10 @@ class AsymptoticEstimate:
     its integer part is known.
     """
 
+    __slots__ = ()
     n: int
     value: float
-    relative_error_vs_exact: float | None = None
+    relative_error_vs_exact: float | None
 
     @property
     def log10_value(self) -> float:

@@ -12,8 +12,8 @@ valley-free, so membership reduces to one left-to-right pass.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from . import _backend
 from .sequences import _echo, _entries, parse_sequence
@@ -54,8 +54,7 @@ def profile(w: str) -> tuple[int, ...]:
         raise FactorDomainError("word contains 000 or 111; factorization undefined") from None
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(namedtuple("Factorization", "start_letter profile")):
     """Start letter plus profile; together they determine the word.
 
     After each doubled letter the continuation is forced (it must
@@ -63,6 +62,7 @@ class Factorization:
     ``start_letter`` is None only for the empty word.
     """
 
+    __slots__ = ()
     start_letter: str | None
     profile: tuple[int, ...]
 

@@ -12,7 +12,8 @@ of exponents, word by word, against the direct pattern scan.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 
 from .words import avoids_xxrx_naive
 
@@ -28,17 +29,25 @@ __all__ = [
 MAX_QUAD_EXPONENT = 10
 
 
-@dataclass(frozen=True)
-class QuadExponents:
+class QuadExponents(namedtuple("QuadExponents", "i j k l")):
+    """The exponents of (01)^i (10)^j (01)^k (10)^l, each at least 1."""
+
+    __slots__ = ()
     i: int
     j: int
     k: int
     l: int
 
-    def __post_init__(self) -> None:
-        for name, e in (("i", self.i), ("j", self.j), ("k", self.k), ("l", self.l)):
+    def __new__(cls, i: int, j: int, k: int, l: int) -> QuadExponents:
+        for name, e in (("i", i), ("j", j), ("k", k), ("l", l)):
             if not isinstance(e, int) or e < 1:
                 raise ValueError(f"exponent {name} must be a positive integer, got {e!r}")
+        return super().__new__(cls, i, j, k, l)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> QuadExponents:
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
 
 def quad_predicate(e: QuadExponents) -> bool:
@@ -50,17 +59,19 @@ def build_quad_word(e: QuadExponents) -> str:
     return "01" * e.i + "10" * e.j + "01" * e.k + "10" * e.l
 
 
-@dataclass(frozen=True)
-class QuadCase:
+class QuadCase(namedtuple("QuadCase", "exponents in_l predicate")):
     """One evaluated quadruple with both verdicts."""
 
+    __slots__ = ()
     exponents: QuadExponents
     in_l: bool
     predicate: bool
 
 
-@dataclass(frozen=True)
-class IntersectionReport:
+class IntersectionReport(namedtuple("IntersectionReport", "max_exp total_cases mismatches")):
+    """The quadruples up to max_exp on which scan and predicate disagree."""
+
+    __slots__ = ()
     max_exp: int
     total_cases: int
     mismatches: tuple[QuadCase, ...]

@@ -8,8 +8,8 @@ happens here; callers download files themselves.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from pathlib import Path
 
 __all__ = [
@@ -39,12 +39,12 @@ class BFileParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(namedtuple("BFile", "entries sequence_id", defaults=(None,))):
     """Parsed entries (index, value) with strictly increasing indices."""
 
+    __slots__ = ()
     entries: tuple[tuple[int, int], ...]
-    sequence_id: str | None = None
+    sequence_id: str | None
 
     def max_index(self) -> int | None:
         return self.entries[-1][0] if self.entries else None
@@ -93,8 +93,11 @@ def format_bfile(values: Sequence[int], start: int = 0) -> str:
     return "".join(f"{start + i} {v}\n" for i, v in enumerate(values))
 
 
-@dataclass(frozen=True)
-class SequenceMismatch:
+class SequenceMismatch(namedtuple("SequenceMismatch", "index local reference")):
+    """One term where the local value differs from the b-file's.  The field
+    index shadows tuple.index."""
+
+    __slots__ = ()
     index: int
     local: int
     reference: int

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import enum
 import sys
+from collections import namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 
 __all__ = [
     "NotInXError",
@@ -40,8 +40,7 @@ class SequenceKind(enum.Enum):
     NOT_IN_X = "not-in-x"    # has a valley
 
 
-@dataclass(frozen=True)
-class SequenceClass:
+class SequenceClass(namedtuple("SequenceClass", "kind witness")):
     """Classification verdict with a checkable witness index.
 
     For TYPE1 and TYPE2 the witness is the 1-based peak index (for TYPE2
@@ -49,6 +48,7 @@ class SequenceClass:
     NOT_IN_X it is the smallest 1-based valley index.
     """
 
+    __slots__ = ()
     kind: SequenceKind
     witness: int
 
@@ -99,23 +99,28 @@ def _strictly_increasing(parts: Sequence[int]) -> bool:
     return all(a < b for a, b in zip(parts, parts[1:]))
 
 
-@dataclass(frozen=True)
-class PartitionPair:
+class PartitionPair(namedtuple("PartitionPair", "lam mu")):
     """Two partitions into distinct parts, each stored strictly increasing.
 
     ``lam`` supplies the rising run of a sequence; ``mu`` is read in
     reverse to supply the falling run.
     """
 
+    __slots__ = ()
     lam: tuple[int, ...]
     mu: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "lam", _entries(self.lam))
-        object.__setattr__(self, "mu", _entries(self.mu))
-        for name, parts in (("lam", self.lam), ("mu", self.mu)):
+    def __new__(cls, lam: Iterable[int], mu: Iterable[int]) -> PartitionPair:
+        lam, mu = _entries(lam), _entries(mu)
+        for name, parts in (("lam", lam), ("mu", mu)):
             if not _strictly_increasing(parts):
                 raise ValueError(f"{name} must have strictly increasing parts, got {parts}")
+        return super().__new__(cls, lam, mu)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> PartitionPair:
+        # namedtuple's _make, and _replace through it, would skip __new__
+        return cls(*iterable)
 
     @property
     def weight(self) -> int:

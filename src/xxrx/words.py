@@ -13,7 +13,7 @@ definition.  This scan is the reference that the linear recognizer in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import _backend
 
@@ -38,10 +38,10 @@ def check_word(w: str) -> str:
     return w
 
 
-@dataclass(frozen=True)
-class PatternInstance:
+class PatternInstance(namedtuple("PatternInstance", "start block_len")):
     """Three adjacent blocks of length ``block_len`` starting at ``start``."""
 
+    __slots__ = ()
     start: int
     block_len: int
 
