@@ -15,9 +15,9 @@ in C, in time linear in the word length.  No decimal string is built,
 so CPython's limit on int/str conversions (4300 digits by default)
 never applies, and words of any length pass.
 
-``scan_xxrx`` tests the definition only at pairs of block starts that
-can be the two centres of an instance, in the order (t, i) that makes
-the first hit the answer.
+``_is_instance``, the one test of the definition, is shared with the
+brute-force word walk; ``scan_xxrx`` applies it in the order (t, i)
+that makes the first hit the answer.
 """
 
 from __future__ import annotations
@@ -33,6 +33,22 @@ def _blocks(w: bytes) -> list[int]:
     return [len(run) + 1 for run in diff[1:].split(b"\0")]
 
 
+def _is_instance(w: bytes | str, s1: int, s2: int) -> bool:
+    """True iff w[s1-t:s1], w[s1:s2] reversed and w[s2:s2+t] are one x,
+    where t = s2 - s1; the caller keeps 0 < t <= s1 and s2 + t <= len(w).
+
+    Both centres of an instance are doubled letters: x ends with the
+    letter x^R begins with, w[s1-1] == w[s1], and x^R ends with the one
+    x begins with, w[s2-1] == w[s2].  So only pairs of block starts need
+    testing: in a triple-free word, whose starts differ by at least 2,
+    only those with t >= 2.
+    """
+    t = s2 - s1
+    x = w[s1 - t:s1]
+    # x again first: it needs no reversed copy
+    return w[s2:s2 + t] == x and w[s1:s2] == x[::-1]
+
+
 def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     """First (block length, then start) occurrence of x x^R x, or None."""
     n = len(w)
@@ -45,14 +61,10 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
         return (i0, 1)
     if i1 >= 0:
         return (i1, 1)
-    # both centres of x x^R x are doubled letters: x ends with the letter
-    # x^R begins with, and x^R ends with the letter x begins with.  So
-    # s1 = i + t and s2 = i + 2t are block starts and t = s2 - s1.  The
-    # pairs from one s1 come in rising t, and a pair that runs off either
-    # end means every later one from that s1 does too, so one pending
-    # pair per s1 in a heap on (t, s1) visits the candidates in (t, i)
-    # order.  t >= 2 throughout, since starts of a triple-free word differ
-    # by at least 2.
+    # the centres s1 = i + t and s2 = i + 2t are block starts.  The pairs
+    # from one s1 come in rising t, and one that runs off either end means
+    # every later one from that s1 does too, so one pending pair per s1 in
+    # a heap on (t, s1) visits the candidates in (t, i) order.
     blocks = _blocks(w)
     starts = list(accumulate(blocks[:-1]))
     last = len(starts)
@@ -73,10 +85,7 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
             if t > s1 or s1 + 2 * t > n:
                 heappop(heap)
                 continue
-        s2 = s1 + t
-        x = w[s1 - t:s1]
-        # x again first: it needs no reversed copy
-        if w[s2:s2 + t] == x and w[s1:s2] == x[::-1]:
+        if _is_instance(w, s1, s1 + t):
             return (s1 - t, t)
         b += 1
         if b < last:

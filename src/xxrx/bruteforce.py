@@ -2,7 +2,7 @@
 
 Everything here recounts from the definitions, with one depth-first
 walk per side.  The word side grows the words avoiding x x^R x letter
-by letter, testing each new letter against the pattern's definition;
+by letter, testing each new letter with ``_scan_py._is_instance``;
 the sequence side grows valley-free sequences entry by entry and
 rechecks every one whole with ``sequences.in_x``.  Both sets are
 prefix-closed, so one walk to the cap visits, in preorder, every member
@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
 
+from ._scan_py import _is_instance
 from .counting import CountTable
 from .factorization import profile
 from .sequences import _echo, in_x
@@ -36,31 +37,28 @@ __all__ = [
 MAX_BRUTE_WORD_LEN = 24
 MAX_BRUTE_SEQ_WEIGHT = 40
 
-# bijection spot-checks stay at the lengths the acceptance suite checks
-# exhaustively (criterion 4)
-_BIJECTION_LEN_CAP = 16
-
 # visit(member, size): called once per member a walk reaches
 Visit = Callable[[object, int], None]
 
 
-def _ends_in_instance(w: str) -> bool:
+def _check_range(n: int, cap: int, what: str) -> None:
+    if not 0 <= n <= cap:
+        raise ValueError(f"{what} limited to 0 <= n <= {cap}")
+
+
+def _ends_in_instance(w: str, starts: tuple[int, ...]) -> bool:
     """True iff an x x^R x factor ends at the last letter of w.
 
-    With |x| = t the factor is w[m-3t:m].  Its first centre joins the
-    last letter of x to the first letter of x^R, which is the same
-    letter: w[m-2t-1] == w[m-2t].  Its second centre joins the last
-    letter of x^R to the first letter of x, again the same letter:
-    w[m-t-1] == w[m-t].  So only the t whose two centres are both
-    doubled letters are tested, each straight from the definition.
+    starts: every k >= 1 with w[k-1] == w[k], rising.  With |x| = t the
+    factor is w[m-3t:m]; its second centre s2 = m - t is such a k (see
+    ``_scan_py``) with 3·s2 >= 2m, and its first centre is 2·s2 - m.
     """
     m = len(w)
-    for t in range(1, m // 3 + 1):
-        c = m - 2 * t
-        if w[c - 1] == w[c] and w[m - t - 1] == w[m - t]:
-            x = w[m - t :]
-            if w[c : m - t] == x[::-1] and w[c - t : c] == x:
-                return True
+    for s2 in reversed(starts):
+        if 3 * s2 < 2 * m:
+            return False
+        if _is_instance(w, 2 * s2 - m, s2):
+            return True
     return False
 
 
@@ -75,18 +73,20 @@ def _walk_words(n: int, visit: Visit, first_letters: str = "01") -> None:
     length are visited in numeric order.
     """
 
-    def extend(w: str, k: int) -> None:
+    def extend(w: str, k: int, starts: tuple[int, ...]) -> None:
         visit(w, k)
         if k < n:
-            k += 1
-            for child in (w + "0", w + "1"):
-                if not _ends_in_instance(child):
-                    extend(child, k)
+            for letter in "01":
+                child = w + letter
+                # a doubled letter at index k starts a block
+                grown = starts + (k,) if letter == w[-1] else starts
+                if not _ends_in_instance(child, grown):
+                    extend(child, k + 1, grown)
 
     visit("", 0)
     if n:
         for letter in first_letters:
-            extend(letter, 1)
+            extend(letter, 1, ())
     # extend refers to itself: dropping the name frees it, and what
     # visit holds, now rather than at the next cycle collection
     del extend
@@ -140,8 +140,7 @@ def _census(
 
 def brute_count_words(n: int) -> int:
     """Number of length-n words avoiding x x^R x, by walking them all."""
-    if not 0 <= n <= MAX_BRUTE_WORD_LEN:
-        raise ValueError(f"brute-force word count limited to 0 <= n <= {MAX_BRUTE_WORD_LEN}")
+    _check_range(n, MAX_BRUTE_WORD_LEN, "brute-force word count")
     return _census(_walk_words, n)[0][n]
 
 
@@ -151,8 +150,7 @@ def iter_words_in_l(n: int, start_letter: str | None = None) -> Iterator[str]:
     start_letter restricts to words beginning with that letter; the
     empty word is yielded for n = 0 regardless.
     """
-    if not 0 <= n <= MAX_BRUTE_WORD_LEN:
-        raise ValueError(f"brute-force word scan limited to 0 <= n <= {MAX_BRUTE_WORD_LEN}")
+    _check_range(n, MAX_BRUTE_WORD_LEN, "brute-force word scan")
     if start_letter not in (None, "0", "1"):
         raise ValueError(f"start letter must be '0' or '1', not {_echo(start_letter)}")
     yield from _census(_walk_words, n, (n,), start_letter or "01")[1][n]
@@ -161,15 +159,13 @@ def iter_words_in_l(n: int, start_letter: str | None = None) -> Iterator[str]:
 def iter_x_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the valley-free positive sequences of weight n, in
     lexicographic order."""
-    if not 0 <= n <= MAX_BRUTE_SEQ_WEIGHT:
-        raise ValueError(f"brute-force sequence scan limited to 0 <= n <= {MAX_BRUTE_SEQ_WEIGHT}")
+    _check_range(n, MAX_BRUTE_SEQ_WEIGHT, "brute-force sequence scan")
     yield from _census(_walk_sequences, n, (n,))[1][n]
 
 
 def brute_count_x(n: int) -> int:
     """Number of valley-free positive sequences of weight n."""
-    if not 0 <= n <= MAX_BRUTE_SEQ_WEIGHT:
-        raise ValueError(f"brute-force sequence scan limited to 0 <= n <= {MAX_BRUTE_SEQ_WEIGHT}")
+    _check_range(n, MAX_BRUTE_SEQ_WEIGHT, "brute-force sequence scan")
     return _census(_walk_sequences, n)[0][n]
 
 
@@ -224,20 +220,18 @@ def cross_check(max_word_len: int, max_seq_weight: int) -> CrossCheckReport:
     profile bijection.
 
     For each n up to the caps, the word and sequence counts must match
-    the table columns c and v.  For n up to min(max_word_len, 16) the
+    the table columns c and v.  For every n up to max_word_len the
     profiles of the 0-starting words are additionally required to be
     distinct and to cover exactly the weight-n valley-free sequences.
-    Each side is one walk, to its cap or to the bijection's, whichever
-    is larger.  Disagreements are collected, not raised.
+    Each side is one walk, the sequences' to the larger cap.
+    Disagreements are collected, not raised.
     """
-    if not 0 <= max_word_len <= MAX_BRUTE_WORD_LEN:
-        raise ValueError(f"word side limited to 0 <= n <= {MAX_BRUTE_WORD_LEN}")
-    if not 0 <= max_seq_weight <= MAX_BRUTE_SEQ_WEIGHT:
-        raise ValueError(f"sequence side limited to 0 <= n <= {MAX_BRUTE_SEQ_WEIGHT}")
+    _check_range(max_word_len, MAX_BRUTE_WORD_LEN, "word side")
+    _check_range(max_seq_weight, MAX_BRUTE_SEQ_WEIGHT, "sequence side")
     table = CountTable.build(max(max_word_len, max_seq_weight))
-    sizes = range(min(max_word_len, _BIJECTION_LEN_CAP) + 1)
+    sizes = range(max_word_len + 1)
     word_counts, words = _census(_walk_words, max_word_len, sizes)
-    seq_counts, seqs = _census(_walk_sequences, max(max_seq_weight, sizes[-1]), sizes)
+    seq_counts, seqs = _census(_walk_sequences, max(max_seq_weight, max_word_len), sizes)
     rows = []
     for n in range(max_word_len + 1):
         if word_counts[n] != table.c[n]:

@@ -3,12 +3,9 @@
 Words are plain strings over {'0', '1'}; the empty string is the empty
 word.  The instance finder tries block lengths t and starts i in (t, i)
 order, so the first hit is the one with minimal block length, ties
-broken by minimal start.  For t >= 2 it tries only the (t, i) whose two
-centres are both doubled letters: x ends with the letter x^R begins
-with, and x^R ends with the letter x begins with, so blocks start at
-i + t and at i + 2t.  Each candidate is then tested against the
-definition.  This scan is the reference that the linear recognizer in
-``factorization`` is checked against.
+broken by minimal start.  It tests the definition only where an
+instance can sit, as ``_scan_py`` sets out.  This scan is the reference
+that the linear recognizer in ``factorization`` is checked against.
 """
 
 from __future__ import annotations

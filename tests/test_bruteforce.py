@@ -129,7 +129,9 @@ def _ends_in_instance_every_t(w):
 def test_doubled_centre_scan_agrees_with_every_t_scan():
     for n in range(15):
         for w in _all(n):
-            assert bruteforce._ends_in_instance(w) == _ends_in_instance_every_t(w), w
+            starts = tuple(k for k in range(1, n) if w[k - 1] == w[k])
+            got = bruteforce._ends_in_instance(w, starts)
+            assert got == _ends_in_instance_every_t(w), w
 
 
 def test_every_sequence_node_is_rechecked_with_in_x(monkeypatch):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import all_words, ref_find_xxrx, ref_in_x_template, ref_profile
-from xxrx import _scan_py, reconstruct
+from xxrx import _backend, _scan_py, reconstruct
 
 
 def test_profile_raises_on_tripled_letters():
@@ -21,6 +21,20 @@ def test_pure_kernels_direct():
     assert _scan_py.profile_of(b"") == []
     assert _scan_py.is_member(b"00")
     assert not _scan_py.is_member(b"010110100101")
+
+
+def test_backend_exports_only_the_kernels():
+    # perfbench traces every callable of _backend, one span per call, so
+    # a helper such as _is_instance stays out of it
+    exported = {name for name, obj in vars(_backend).items() if callable(obj)}
+    assert exported == {"is_member", "profile_of", "scan_xxrx", "available_backends"}
+
+
+@pytest.mark.parametrize("w", ["010110100101", b"010110100101"])
+def test_instance_test_reads_str_and_bytes(w):
+    assert _scan_py._is_instance(w, 4, 8)
+    assert not _scan_py._is_instance(w, 3, 6)
+    assert _scan_py._is_instance(w[1:2] * 3, 1, 2)  # t = 1: a triple
 
 
 def _ref_member(w):
