@@ -16,14 +16,11 @@ so CPython's limit on int/str conversions (4300 digits by default)
 never applies, and words of any length pass.
 
 ``_is_instance``, the one test of the definition, is shared with the
-brute-force word walk; ``scan_xxrx`` applies it in the order (t, i)
-that makes the first hit the answer.
+brute-force word walk; ``scan_xxrx`` applies it once per interior block,
+left to right, since a shortest instance has one block as its x^R.
 """
 
 from __future__ import annotations
-
-from heapq import heappop, heappush, heapreplace
-from itertools import accumulate
 
 
 def _blocks(w: bytes) -> list[int]:
@@ -42,6 +39,17 @@ def _is_instance(w: bytes | str, s1: int, s2: int) -> bool:
     x begins with, w[s2-1] == w[s2].  So only pairs of block starts need
     testing: in a triple-free word, whose starts differ by at least 2,
     only those with t >= 2.
+
+    A shortest instance has no block start between its centres.  If it
+    had one, x^R = w[s1:s2] would hold r >= 2 whole blocks b_1..b_r, each
+    shorter than t.  x x^R and x^R x are even palindromes centred at s1
+    and s2, so the block that ends at s1 is as long as b_1, and the one
+    that starts at s2 as long as b_r.  The shortest b_j then has
+    neighbours at least as long as itself.  Every block alternates, so
+    with u = b_j and b_j starting at s, w[s-u:s], w[s:s+u] reversed and
+    w[s+u:s+2u] are one x: an instance with |x| = u < t.  So the shortest
+    instances are among the pairs of consecutive block starts, the two
+    ends of an interior block.
     """
     t = s2 - s1
     x = w[s1 - t:s1]
@@ -61,40 +69,18 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
         return (i0, 1)
     if i1 >= 0:
         return (i1, 1)
-    # the centres s1 = i + t and s2 = i + 2t are block starts.  The pairs
-    # from one s1 come in rising t, and one that runs off either end means
-    # every later one from that s1 does too, so one pending pair per s1 in
-    # a heap on (t, s1) visits the candidates in (t, i) order.
+    # a shortest instance has its centres at consecutive block starts, the
+    # ends of an interior block (see _is_instance); left to right, a strictly
+    # shorter hit replaces the best, so the first of the shortest is kept
     blocks = _blocks(w)
-    starts = list(accumulate(blocks[:-1]))
-    last = len(starts)
-    # The first pair from s1 = starts[b - 1] has t = blocks[b], so a stable
-    # sort on blocks[b] puts the first pairs in (t, s1) order.  Each enters
-    # the heap only when the one before it is taken: an entry (t, s1, b, k)
-    # with k > 0 admits firsts[k].  So an early hit skips the rest.
-    firsts = sorted(range(1, last), key=blocks.__getitem__)
-    firsts.append(0)
-    b = firsts[0]
-    heap = [(blocks[b], starts[b - 1], b, 1)] if b else []
-    while heap:
-        t, s1, b, k = heap[0]
-        if k:
-            after = firsts[k]
-            if after:
-                heappush(heap, (blocks[after], starts[after - 1], after, k + 1))
-            if t > s1 or s1 + 2 * t > n:
-                heappop(heap)
-                continue
-        if _is_instance(w, s1, s1 + t):
-            return (s1 - t, t)
-        b += 1
-        if b < last:
-            t = starts[b] - s1
-            if t <= s1 and s1 + 2 * t <= n:
-                heapreplace(heap, (t, s1, b, 0))
-                continue
-        heappop(heap)
-    return None
+    found = None
+    best = n
+    s1 = blocks[0]
+    for t in blocks[1:-1]:
+        if t < best and t <= s1 and s1 + 2 * t <= n and _is_instance(w, s1, s1 + t):
+            found, best = (s1 - t, t), t
+        s1 += t
+    return found
 
 
 def profile_of(w: bytes) -> list[int]:

@@ -12,6 +12,8 @@ from collections import namedtuple
 from collections.abc import Sequence
 from pathlib import Path
 
+from .sequences import _echo, _int_fault
+
 __all__ = [
     "BFile",
     "BFileParseError",
@@ -51,6 +53,8 @@ class BFile(namedtuple("BFile", "entries sequence_id", defaults=(None,))):
 
 
 def parse_bfile(text: str, sequence_id: str | None = None) -> BFile:
+    """Parse b-file text; a BFileParseError quotes at most the first 60
+    characters of the line at fault."""
     entries = []
     last = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -59,11 +63,12 @@ def parse_bfile(text: str, sequence_id: str | None = None) -> BFile:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise BFileParseError(f"expected 'n a(n)', got {raw!r}", lineno)
+            raise BFileParseError(f"expected 'n a(n)', got {_echo(raw)}", lineno)
         try:
             n, value = int(parts[0]), int(parts[1])
         except ValueError:
-            raise BFileParseError(f"non-integer field in {raw!r}", lineno) from None
+            fault = _int_fault(parts[0], "field") or _int_fault(parts[1], "field")
+            raise BFileParseError(f"{fault} in {_echo(raw)}", lineno) from None
         if last is not None and n <= last:
             raise BFileParseError(f"indices must be strictly increasing, {n} after {last}", lineno)
         last = n

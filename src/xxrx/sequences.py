@@ -164,6 +164,22 @@ def _echo(text: object, limit: int = 60) -> str:
     return repr(text)
 
 
+def _int_fault(part: str, what: str) -> str | None:
+    """Why int(part) fails, calling part a what; None if it does not."""
+    try:
+        int(part)
+    except ValueError:
+        digits = part.strip()
+        if digits[:1] in ("+", "-"):
+            digits = digits[1:]
+        # int() takes every decimal string except one longer than
+        # sys.get_int_max_str_digits()
+        if digits.isdecimal():
+            return f"{what} too long ({len(digits)} digits, limit {sys.get_int_max_str_digits()})"
+        return f"non-integer {what}"
+    return None
+
+
 def parse_sequence(text: str) -> tuple[int, ...]:
     """Inverse of format_sequence; tolerates spaces and a trailing comma.
 
@@ -182,19 +198,7 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         try:
             out.append(int(part))
         except ValueError:
-            digits = part.strip()
-            if digits[:1] in ("+", "-"):
-                digits = digits[1:]
-            # int() takes every decimal string except one longer than
-            # sys.get_int_max_str_digits()
-            if digits.isdecimal():
-                what = (
-                    f"entry too long ({len(digits)} digits, "
-                    f"limit {sys.get_int_max_str_digits()})"
-                )
-            else:
-                what = "non-integer entry"
-            raise ValueError(f"{what} in sequence {_echo(text)}") from None
+            raise ValueError(f"{_int_fault(part, 'entry')} in sequence {_echo(text)}") from None
     return tuple(out)
 
 

@@ -1,11 +1,12 @@
 """Binary words and definition-level pattern-instance search.
 
 Words are plain strings over {'0', '1'}; the empty string is the empty
-word.  The instance finder tries block lengths t and starts i in (t, i)
-order, so the first hit is the one with minimal block length, ties
-broken by minimal start.  It tests the definition only where an
-instance can sit, as ``_scan_py`` sets out.  This scan is the reference
-that the linear recognizer in ``factorization`` is checked against.
+word.  The instance finder returns the instance with minimal block
+length, ties broken by minimal start.  It tests the definition only
+where a shortest instance can sit, at the two ends of each interior
+block, as ``_scan_py._is_instance`` sets out.  This scan is the
+reference that the linear recognizer in ``factorization`` is checked
+against.
 """
 
 from __future__ import annotations

@@ -115,8 +115,8 @@ def test_every_short_word_matches_the_reference(n):
         assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w)
 
 
-def test_scan_matches_the_reference_on_every_word_to_16():
-    for n in range(17):
+def test_scan_matches_the_reference_on_every_word_to_18():
+    for n in range(19):
         for w in all_words(n):
             assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w)
 
@@ -138,7 +138,7 @@ def test_scan_on_many_blocks(w, want):
 
 
 # one instance, of a long x in the middle of a long word: every shorter
-# pair of block starts must be passed over first
+# block before and after it must be passed over
 @pytest.mark.parametrize(
     "profile, want",
     [
@@ -148,6 +148,20 @@ def test_scan_on_many_blocks(w, want):
 )
 def test_scan_finds_one_long_x(profile, want):
     assert _scan_py.scan_xxrx(reconstruct("0", profile).encode("ascii")) == want
+
+
+def test_scan_tests_each_interior_block_at_most_once(monkeypatch):
+    w = reconstruct("0", range(1, 447)).encode("ascii")
+    assert len(w) == 99681
+    real, calls = _scan_py._is_instance, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(_scan_py, "_is_instance", counted)
+    assert _scan_py.scan_xxrx(w) is None
+    assert len(calls) <= len(_scan_py._blocks(w)) - 2
 
 
 @pytest.mark.parametrize("reps", [1, 2, 3, 1000])

@@ -1,4 +1,5 @@
 import os
+import sys
 
 import pytest
 
@@ -46,6 +47,20 @@ def test_parse_errors_carry_line_numbers():
     with pytest.raises(BFileParseError) as info:
         parse_bfile("0 1\n5 2\n3 9\n")
     assert info.value.lineno == 3
+
+
+def test_parse_errors_clip_the_line_and_name_long_integers():
+    for text in ("x" * 200_000, "0 1 " * 50_000, "0 " + "x" * 200_000):
+        with pytest.raises(BFileParseError) as info:
+            parse_bfile(text)
+        assert len(str(info.value)) < 120
+    limit = sys.get_int_max_str_digits()
+    for line in ("0 " + "7" * 5000, "-" + "7" * 5000 + " 1"):
+        with pytest.raises(BFileParseError) as info:
+            parse_bfile("0 1\n" + line)
+        assert str(info.value).startswith(f"line 2: field too long (5000 digits, limit {limit}) in '")
+    with pytest.raises(BFileParseError, match="^line 1: non-integer field in '0 x'$"):
+        parse_bfile("0 x")
 
 
 def test_negative_values_parse():
