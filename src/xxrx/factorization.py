@@ -122,9 +122,9 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
 def is_in_l_linear(w: str) -> bool:
     """Linear-time test for avoidance of x x^R x.
 
-    Rejects on any triple letter, then builds the whole profile in one
-    linear pass over the word and rejects if it has a valley.  Agrees
-    with the direct instance scan.
+    Builds the whole profile in one linear pass over the word, which
+    also finds any triple letter, and rejects on a triple letter or a
+    valley.  Agrees with the direct instance scan.
     """
     return _backend.is_member(check_word(w).encode("ascii"))
 

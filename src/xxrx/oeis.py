@@ -54,7 +54,7 @@ class BFile(namedtuple("BFile", "entries sequence_id", defaults=(None,))):
 
 def parse_bfile(text: str, sequence_id: str | None = None) -> BFile:
     """Parse b-file text; a BFileParseError quotes at most the first 60
-    characters of the line at fault."""
+    characters of the line or of each index at fault."""
     entries = []
     last = None
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -70,8 +70,11 @@ def parse_bfile(text: str, sequence_id: str | None = None) -> BFile:
             fault = _int_fault(parts[0], "field") or _int_fault(parts[1], "field")
             raise BFileParseError(f"{fault} in {_echo(raw)}", lineno) from None
         if last is not None and n <= last:
-            raise BFileParseError(f"indices must be strictly increasing, {n} after {last}", lineno)
-        last = n
+            raise BFileParseError(
+                f"indices must be strictly increasing, {_echo(parts[0])} after {_echo(last_text)}",
+                lineno,
+            )
+        last, last_text = n, parts[0]
         entries.append((n, value))
     return BFile(tuple(entries), sequence_id)
 

@@ -8,10 +8,20 @@ from helpers import all_words, ref_find_xxrx, ref_in_x_template, ref_profile
 from xxrx import _backend, _scan_py, reconstruct
 
 
+# 19900 letters, ending in 1
+_MEMBER = reconstruct("0", range(1, 200))
+
+
+# only the split sees most of these triples: is_member searches for 000
+# alone, and profile_of for neither
 def test_profile_raises_on_tripled_letters():
-    for bad in (b"000", b"111", b"010111"):
-        with pytest.raises(ValueError):
-            _scan_py.profile_of(bad)
+    for bad in (
+        "000", "111", "010111", "0111", "1110", "1110" + "10" * 500, "10" * 500 + "0111",
+        "000" + _MEMBER, "111" + _MEMBER, _MEMBER + "000", _MEMBER + "11",
+    ):
+        with pytest.raises(ValueError, match="triple letter"):
+            _scan_py.profile_of(bad.encode("ascii"))
+        assert not _scan_py.is_member(bad.encode("ascii"))
 
 
 def test_pure_kernels_direct():
@@ -113,6 +123,32 @@ def test_every_short_word_matches_the_reference(n):
     for w in all_words(n):
         _agrees_with_reference(w)
         assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w)
+
+
+def _profile_or_none(f, w):
+    try:
+        return list(f(w))
+    except ValueError:
+        return None
+
+
+def test_kernels_match_the_reference_on_every_word_to_16():
+    for n in range(17):
+        for w in all_words(n):
+            b = w.encode("ascii")
+            want = _profile_or_none(ref_profile, w)
+            assert _profile_or_none(_scan_py.profile_of, b) == want, w
+            assert _scan_py.is_member(b) is (want is not None and ref_in_x_template(want)), w
+
+
+def test_a_long_member_with_111_spliced_near_its_end():
+    k = _MEMBER.rindex("11")
+    bad = _MEMBER[:k] + "1" + _MEMBER[k:]
+    assert len(_MEMBER) - k <= 200 and "111" in bad and "000" not in bad
+    assert _scan_py.is_member(_MEMBER.encode("ascii"))
+    assert not _scan_py.is_member(bad.encode("ascii"))
+    with pytest.raises(ValueError, match="triple letter"):
+        _scan_py.profile_of(bad.encode("ascii"))
 
 
 def test_scan_matches_the_reference_on_every_word_to_18():

@@ -63,6 +63,16 @@ def test_parse_errors_clip_the_line_and_name_long_integers():
         parse_bfile("0 x")
 
 
+def test_out_of_order_indices_are_quoted_clipped():
+    with pytest.raises(BFileParseError) as info:
+        parse_bfile("9" * 4000 + " 1\n1 1\n")
+    assert info.value.lineno == 2
+    assert len(str(info.value)) < 160
+    assert str(info.value).startswith("line 2: indices must be strictly increasing, '1' after '999")
+    with pytest.raises(BFileParseError, match="^line 3: indices must be strictly increasing, '5' after '05'$"):
+        parse_bfile("0 1\n05 2\n5 9\n")
+
+
 def test_negative_values_parse():
     assert parse_bfile("0 -5\n1 7\n").entries == ((0, -5), (1, 7))
 
