@@ -14,7 +14,8 @@ A triple letter is two 0 bytes in a row: an empty interior piece of that
 split, where only the first and last pieces may be empty.  So the split
 that gives the profile also finds every triple letter, and
 ``profile_of`` runs no search of its own.  ``is_member`` keeps one,
-``b"000" in w``, as an early exit for random words (see there).
+``b"000" in w``, as an early exit for random words (see there), and
+``scan_xxrx`` the same, looking for a 111 only once it has found a 000.
 
 Conversion from and to bytes, the shift, the XOR and the split all run
 in C, in time linear in the word length.  No decimal string is built,
@@ -75,16 +76,19 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     n = len(w)
     if n < 3:
         return None
-    # t = 1 is a plain triple-letter search
+    # t = 1 is a triple letter.  As in is_member, a 000 is searched for
+    # first, as an early exit; then only a 111 left of it can come first.
+    # That search is not bounded at the 000: on a random word both stop
+    # within a few letters, and the bounds would cost more than they save
     i0 = w.find(b"000")
-    i1 = w.find(b"111")
-    if i0 >= 0 and (i1 < 0 or i0 < i1):
-        return (i0, 1)
-    if i1 >= 0:
-        return (i1, 1)
+    if i0 >= 0:
+        i1 = w.find(b"111")
+        return (i1 if 0 <= i1 < i0 else i0, 1)
     # a shortest instance has its centres at consecutive block starts, the
     # ends of an interior block (see _is_instance); left to right, a strictly
-    # shorter hit replaces the best, so the first of the shortest is kept
+    # shorter hit replaces the best, so the first of the shortest is kept.
+    # A 111 is an interior block of length 1, so the first t = 1 hit is
+    # the leftmost 111, and nothing shorter can follow it
     blocks = _blocks(w)
     found = None
     best = n
@@ -92,6 +96,8 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     for t in blocks[1:-1]:
         if t < best and t <= s1 and s1 + 2 * t <= n and _is_instance(w, s1, s1 + t):
             found, best = (s1 - t, t), t
+            if t == 1:
+                break
         s1 += t
     return found
 

@@ -5,17 +5,20 @@ walk per side.  The word side grows the words avoiding x x^R x letter
 by letter, testing each new letter with ``_scan_py._is_instance``;
 the sequence side grows valley-free sequences entry by entry and
 rechecks every one whole with ``sequences.in_x``.  Both sets are
-prefix-closed, so one walk to the cap visits, in preorder, every member
-up to the cap: the counts at every size, the listings of one size and
-the bijection check all read from it.  Neither walk consults the series
-tables they are used to check, or any profile theory, which is what
-makes a match evidential.  Hard range guards keep runs at desk scale.
+prefix-closed, so one walk to the cap reaches, in preorder, every
+member up to the cap.  The walk itself counts the members of every size
+and keeps those of the sizes asked for: the counts at every size, the
+listings of one size and the bijection check all read from it.  A
+member is counted where it is made, and the walk recurses only into one
+that may have a child.  Neither walk consults the series tables they
+are used to check, or any profile theory, which is what makes a match
+evidential.  Hard range guards keep runs at desk scale.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from ._scan_py import _is_instance
 from .counting import CountTable
@@ -36,9 +39,6 @@ __all__ = [
 
 MAX_BRUTE_WORD_LEN = 24
 MAX_BRUTE_SEQ_WEIGHT = 40
-
-# visit(member, size): called once per member a walk reaches
-Visit = Callable[[object, int], None]
 
 
 def _check_range(n: int, cap: int, what: str) -> None:
@@ -62,86 +62,92 @@ def _ends_in_instance(w: str, starts: tuple[int, ...]) -> bool:
     return False
 
 
-def _walk_words(n: int, visit: Visit, first_letters: str = "01") -> None:
-    """Visit every word avoiding x x^R x of length at most n, in preorder:
+def _walk_words(
+    n: int, keep: Iterable[int] = (), first_letters: str = "01"
+) -> tuple[list[int], dict[int, list[str]]]:
+    """Walk every word avoiding x x^R x of length at most n, in preorder:
     the empty word, then those beginning with one of first_letters.
+    Returns the number of members at each length 0..n, and for each
+    length in keep its members in the order reached.
 
     The language is factor-closed, so every prefix of a member is a
     member: depth-first growth that keeps a word only while no instance
-    ends at its newest letter reaches every member and visits nothing
-    but members.  '0' is tried before '1', so the members of any one
-    length are visited in numeric order.
+    ends at its newest letter reaches every member and nothing but
+    members.  '0' is tried before '1', so the members of any one length
+    are reached in numeric order.  A member is counted where it is made,
+    and extended only if it is shorter than n.
     """
+    counts = [1] + [0] * n
+    kept: dict[int, list[str]] = {k: [] if k else [""] for k in keep}
 
     def extend(w: str, k: int, starts: tuple[int, ...]) -> None:
-        visit(w, k)
-        if k < n:
-            for letter in "01":
-                child = w + letter
-                # a doubled letter at index k starts a block
-                grown = starts + (k,) if letter == w[-1] else starts
-                if not _ends_in_instance(child, grown):
-                    extend(child, k + 1, grown)
+        # w: a member of length k < n; counts, keeps and extends its
+        # children, of length m
+        m = k + 1
+        for letter in "01" if k else first_letters:
+            child = w + letter
+            # a doubled letter at index k starts a block
+            grown = starts + (k,) if letter == w[-1:] else starts
+            if not _ends_in_instance(child, grown):
+                counts[m] += 1
+                if m in kept:
+                    kept[m].append(child)
+                if m < n:
+                    extend(child, m, grown)
 
-    visit("", 0)
     if n:
-        for letter in first_letters:
-            extend(letter, 1, ())
-    # extend refers to itself: dropping the name frees it, and what
-    # visit holds, now rather than at the next cycle collection
+        extend("", 0, ())
+    # extend refers to itself: dropping the name frees it, and the lists
+    # it holds, now rather than at the next cycle collection
     del extend
+    return counts, kept
 
 
-def _walk_sequences(n: int, visit: Visit) -> None:
-    """Visit every valley-free positive sequence of weight at most n, in
-    preorder.
+def _walk_sequences(
+    n: int, keep: Iterable[int] = ()
+) -> tuple[list[int], dict[int, list[tuple[int, ...]]]]:
+    """Walk every valley-free positive sequence of weight at most n, in
+    preorder.  Returns the number of members at each weight 0..n, and
+    for each weight in keep its members in the order reached.
 
     A valley cannot be repaired by later entries, so the valley-free
     sequences are prefix-closed.  A new entry d makes the last entry of s
     a valley exactly when s[-2] >= s[-1] <= d, so after a step that does
     not rise only entries below s[-1] are tried.  Entries are tried
-    smallest first, so the members of any one weight are visited in
+    smallest first, so the members of any one weight are reached in
     lexicographic order.  Every node is rechecked whole with in_x; one
-    it rejects is neither visited nor extended.
+    it rejects is neither counted nor extended.  A member is counted
+    where it is made, and extended only if some entry may follow it.
     """
+    counts = [1] + [0] * n
+    kept: dict[int, list[tuple[int, ...]]] = {k: [] if k else [()] for k in keep}
 
     def extend(s: tuple[int, ...], k: int, top: int) -> None:
-        # top: the largest entry that may follow s
+        # top >= 1: the largest entry that may follow s, of weight k
+        last = s[-1] if s else 0
         for d in range(1, top + 1):
             child = s + (d,)
             if in_x(child):
                 weight = k + d
-                visit(child, weight)
+                counts[weight] += 1
+                if weight in kept:
+                    kept[weight].append(child)
                 room = n - weight
-                extend(child, weight, room if not s or s[-1] < d else min(room, d - 1))
+                if last >= d:
+                    room = min(room, d - 1)
+                if room:
+                    extend(child, weight, room)
 
-    visit((), 0)
-    extend((), 0, n)
+    if n:
+        extend((), 0, n)
     del extend  # as in _walk_words
-
-
-def _census(
-    walk: Callable[..., None], n: int, keep: Iterable[int] = (), *args: str
-) -> tuple[list[int], dict[int, list]]:
-    """Run one walk to size n.  Returns the number of members it visits
-    at each size 0..n, and for each size in keep its members in the
-    order visited."""
-    counts = [0] * (n + 1)
-    kept: dict[int, list] = {k: [] for k in keep}
-
-    def visit(member: object, k: int) -> None:
-        counts[k] += 1
-        if k in kept:
-            kept[k].append(member)
-
-    walk(n, visit, *args)
     return counts, kept
 
 
 def brute_count_words(n: int) -> int:
     """Number of length-n words avoiding x x^R x, by walking them all."""
     _check_range(n, MAX_BRUTE_WORD_LEN, "brute-force word count")
-    return _census(_walk_words, n)[0][n]
+    return _walk_words(n)[0][n]
 
 
 def iter_words_in_l(n: int, start_letter: str | None = None) -> Iterator[str]:
@@ -153,20 +159,20 @@ def iter_words_in_l(n: int, start_letter: str | None = None) -> Iterator[str]:
     _check_range(n, MAX_BRUTE_WORD_LEN, "brute-force word scan")
     if start_letter not in (None, "0", "1"):
         raise ValueError(f"start letter must be '0' or '1', not {_echo(start_letter)}")
-    yield from _census(_walk_words, n, (n,), start_letter or "01")[1][n]
+    yield from _walk_words(n, (n,), start_letter or "01")[1][n]
 
 
 def iter_x_sequences(n: int) -> Iterator[tuple[int, ...]]:
     """Yield the valley-free positive sequences of weight n, in
     lexicographic order."""
     _check_range(n, MAX_BRUTE_SEQ_WEIGHT, "brute-force sequence scan")
-    yield from _census(_walk_sequences, n, (n,))[1][n]
+    yield from _walk_sequences(n, (n,))[1][n]
 
 
 def brute_count_x(n: int) -> int:
     """Number of valley-free positive sequences of weight n."""
     _check_range(n, MAX_BRUTE_SEQ_WEIGHT, "brute-force sequence scan")
-    return _census(_walk_sequences, n)[0][n]
+    return _walk_sequences(n)[0][n]
 
 
 class Discrepancy(namedtuple("Discrepancy", "n side expected got")):
@@ -230,8 +236,8 @@ def cross_check(max_word_len: int, max_seq_weight: int) -> CrossCheckReport:
     _check_range(max_seq_weight, MAX_BRUTE_SEQ_WEIGHT, "sequence side")
     table = CountTable.build(max(max_word_len, max_seq_weight))
     sizes = range(max_word_len + 1)
-    word_counts, words = _census(_walk_words, max_word_len, sizes)
-    seq_counts, seqs = _census(_walk_sequences, max(max_seq_weight, max_word_len), sizes)
+    word_counts, words = _walk_words(max_word_len, sizes)
+    seq_counts, seqs = _walk_sequences(max(max_seq_weight, max_word_len), sizes)
     rows = []
     for n in range(max_word_len + 1):
         if word_counts[n] != table.c[n]:

@@ -50,13 +50,15 @@ class QuadExponents(namedtuple("QuadExponents", "i j k l")):
         return cls(*iterable)
 
 
-def quad_predicate(e: QuadExponents) -> bool:
+def quad_predicate(e: tuple[int, int, int, int]) -> bool:
     """The closed-form membership condition on the exponents."""
-    return (e.i < e.j or e.k < e.j) and (e.j < e.k or e.l < e.k)
+    i, j, k, l = e
+    return (i < j or k < j) and (j < k or l < k)
 
 
-def build_quad_word(e: QuadExponents) -> str:
-    return "01" * e.i + "10" * e.j + "01" * e.k + "10" * e.l
+def build_quad_word(e: tuple[int, int, int, int]) -> str:
+    i, j, k, l = e
+    return "01" * i + "10" * j + "01" * k + "10" * l
 
 
 class QuadCase(namedtuple("QuadCase", "exponents in_l predicate")):
@@ -109,10 +111,10 @@ def verify_intersection_claim(max_exp: int) -> IntersectionReport:
         raise ValueError(f"max_exp must be between 1 and {MAX_QUAD_EXPONENT}")
     mismatches = []
     rng = range(1, max_exp + 1)
-    for i, j, k, l in itertools.product(rng, repeat=4):
-        e = QuadExponents(i, j, k, l)
+    # plain tuples, in range by construction: only a mismatch needs a record
+    for e in itertools.product(rng, repeat=4):
         in_l = avoids_xxrx_naive(build_quad_word(e))
         pred = quad_predicate(e)
         if in_l != pred:
-            mismatches.append(QuadCase(e, in_l, pred))
+            mismatches.append(QuadCase(QuadExponents(*e), in_l, pred))
     return IntersectionReport(max_exp, max_exp**4, tuple(mismatches))

@@ -54,7 +54,7 @@ def test_weight_four_members_listed():
 
 
 def test_iter_x_sequences_equals_unpruned_filter():
-    for n in range(13):
+    for n in range(17):
         pruned = sorted(iter_x_sequences(n))
         plain = sorted(s for s in compositions(n) if ref_in_x_template(s))
         assert pruned == plain

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +15,7 @@ from xxrx import (
     reverse,
     verify_intersection_claim,
 )
+from xxrx import intersect
 
 
 def test_predicate_examples():
@@ -74,3 +77,19 @@ def test_report_rendering():
     assert not fabricated.ok
     assert "1 mismatches" in fabricated.as_text()
     assert fabricated.as_csv() == "i,j,k,l,in_L,predicate\n1,2,3,4,true,false\n"
+
+
+def test_mismatches_are_records_in_product_order(monkeypatch):
+    # only (1, 2, 2, 1) of the 16 quadruples up to 2 is in L, so a
+    # predicate that is always true disagrees on the other 15
+    monkeypatch.setattr(intersect, "quad_predicate", lambda e: True)
+    report = verify_intersection_claim(2)
+    want = [e for e in itertools.product((1, 2), repeat=4) if e != (1, 2, 2, 1)]
+    assert report.total_cases == 16 and not report.ok
+    assert [c.exponents for c in report.mismatches] == want
+    for c in report.mismatches:
+        assert type(c) is QuadCase and type(c.exponents) is QuadExponents
+        assert (c.in_l, c.predicate) == (False, True)
+    assert report.as_csv() == "i,j,k,l,in_L,predicate\n" + "".join(
+        f"{i},{j},{k},{l},false,true\n" for i, j, k, l in want
+    )

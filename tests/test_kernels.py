@@ -149,6 +149,24 @@ def test_a_long_member_with_111_spliced_near_its_end():
     assert not _scan_py.is_member(bad.encode("ascii"))
     with pytest.raises(ValueError, match="triple letter"):
         _scan_py.profile_of(bad.encode("ascii"))
+    # no 000, so the split finds this 111
+    assert _scan_py.scan_xxrx(bad.encode("ascii")) == ref_find_xxrx(bad) == (k, 1)
+
+
+def _splice(w, pair, last):
+    """w with one more letter in its first (or last) doubled pair."""
+    k = w.rindex(pair) if last else w.index(pair)
+    return w[:k] + pair[0] + w[k:], k
+
+
+# the scan looks for a 111 only after finding a 000, and then takes
+# whichever comes first
+@pytest.mark.parametrize("first, then", [("11", "00"), ("00", "11")])
+def test_scan_finds_the_first_of_two_triples_in_a_long_word(first, then):
+    w, k = _splice(_MEMBER, first, last=False)
+    w, _ = _splice(w, then, last=True)
+    assert len(w) == 19902 and w.index(first[0] * 3) == k < w.index(then[0] * 3)
+    assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w) == (k, 1)
 
 
 def test_scan_matches_the_reference_on_every_word_to_18():
