@@ -13,9 +13,14 @@ at w[k-1] and the next starts at w[k] exactly there, so splitting bytes
 A triple letter is two 0 bytes in a row: an empty interior piece of that
 split, where only the first and last pieces may be empty.  So the split
 that gives the profile also finds every triple letter, and
-``profile_of`` runs no search of its own.  ``is_member`` keeps one,
-``b"000" in w``, as an early exit for random words (see there), and
-``scan_xxrx`` the same, looking for a 111 only once it has found a 000.
+``profile_of`` runs no search of its own.  An empty interior piece is
+no longer than either neighbour, so it is a valley of the pieces'
+lengths, and ``is_member`` decides triples and valleys in one test on
+them.  ``is_member`` and ``scan_xxrx`` first search for 000 as an early
+exit for random words, and read only the first ``_PREFIX`` letters for
+it: the split decides every triple past them, so the bound changes only
+the cost, never an answer.  ``scan_xxrx`` looks for a 111 only once it
+has found a 000.
 
 Conversion from and to bytes, the shift, the XOR and the split all run
 in C, in time linear in the word length.  No decimal string is built,
@@ -29,19 +34,29 @@ left to right, since a shortest instance has one block as its x^R.
 
 from __future__ import annotations
 
+# how many leading letters the 000 early exit reads.  A uniform random
+# word avoids 000 in its first 256 letters with probability ~5.5e-10
+# (words of length 256 avoiding 000, over 2**256); a member pays for
+# this much search and no more before its split
+_PREFIX = 256
 
-def _blocks(w: bytes) -> list[int]:
-    """Block lengths of a nonempty word, from one XOR pass: the one
-    XOR-and-split every kernel uses.
 
-    A triple letter is an empty interior run of the split, so it shows
-    here as an interior block of length 1.  The first block has length
-    1 when the word starts with a doubled letter, and the last when it
-    ends with one.
+def _split(w: bytes) -> list[bytes]:
+    """The XOR pass every kernel uses: one run per block, each one
+    letter shorter than its block.
+
+    A triple letter is an empty interior run.  The first run is empty
+    when the word starts with a doubled letter, and the last when it
+    ends with one.  The empty word gives one empty run.
     """
     x = int.from_bytes(w, "big")
-    diff = (x ^ (x >> 8)).to_bytes(len(w), "big")
-    return [len(run) + 1 for run in diff[1:].split(b"\0")]
+    return (x ^ (x >> 8)).to_bytes(len(w), "big")[1:].split(b"\0")
+
+
+def _blocks(w: bytes) -> list[int]:
+    """Block lengths of a nonempty word; a triple letter shows as an
+    interior block of length 1."""
+    return [len(run) + 1 for run in _split(w)]
 
 
 def _is_instance(w: bytes | str, s1: int, s2: int) -> bool:
@@ -77,18 +92,22 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     if n < 3:
         return None
     # t = 1 is a triple letter.  As in is_member, a 000 is searched for
-    # first, as an early exit; then only a 111 left of it can come first.
-    # That search is not bounded at the 000: on a random word both stop
-    # within a few letters, and the bounds would cost more than they save
-    i0 = w.find(b"000")
+    # first, in the first _PREFIX letters, as an early exit; then only a
+    # 111 left of it can come first.  That search is not bounded at the
+    # 000: on a random word both stop within a few letters, and the bound
+    # would cost more than it saves.  For the same reason a word no longer
+    # than the prefix is searched without bounds: their two arguments cost
+    # more than a search of up to _PREFIX letters
+    i0 = w.find(b"000") if n <= _PREFIX else w.find(b"000", 0, _PREFIX)
     if i0 >= 0:
         i1 = w.find(b"111")
         return (i1 if 0 <= i1 < i0 else i0, 1)
     # a shortest instance has its centres at consecutive block starts, the
     # ends of an interior block (see _is_instance); left to right, a strictly
     # shorter hit replaces the best, so the first of the shortest is kept.
-    # A 111 is an interior block of length 1, so the first t = 1 hit is
-    # the leftmost 111, and nothing shorter can follow it
+    # A triple is an interior block of length 1, so the first t = 1 hit is
+    # the leftmost 111, or 000 past the prefix, and nothing shorter can
+    # follow it
     blocks = _blocks(w)
     found = None
     best = n
@@ -119,15 +138,14 @@ def profile_of(w: bytes) -> list[int]:
 def is_member(w: bytes) -> bool:
     """Linear-time membership in the xx^Rx-avoiding language: no triple
     letter and a valley-free profile."""
-    # the one search kept: a uniform random word shows a 000 within ~14
-    # letters on average, long before the XOR pass has read it all; the
-    # split in profile_of decides every other triple, 111 included
-    if b"000" in w:
+    # a uniform random word shows a 000 within ~14 letters on average,
+    # long before the XOR pass has read it all
+    if w.find(b"000", 0, _PREFIX) >= 0:
         return False
-    try:
-        prof = profile_of(w)
-    except ValueError:
-        return False
+    # each run is its block less one letter, which moves no valley, and a
+    # triple is an empty interior run, no longer than either neighbour: a
+    # valley too.  So one valley test decides both
+    runs = list(map(len, _split(w)))
     return not any(
-        prof[j - 1] >= prof[j] <= prof[j + 1] for j in range(1, len(prof) - 1)
+        runs[j - 1] >= runs[j] <= runs[j + 1] for j in range(1, len(runs) - 1)
     )

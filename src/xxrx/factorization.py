@@ -122,9 +122,11 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
 def is_in_l_linear(w: str) -> bool:
     """Linear-time test for avoidance of x x^R x.
 
-    Builds the whole profile in one linear pass over the word, which
-    also finds any triple letter, and rejects on a triple letter or a
-    valley.  Agrees with the direct instance scan.
+    Rejects a word with a 000 in its first 256 letters at once.
+    Otherwise splits the word into its blocks in one linear pass and
+    rejects on a valley of the block lengths; a triple letter anywhere
+    is a block of length 1 inside the word, so it is such a valley too.
+    Agrees with the direct instance scan.
     """
     return _backend.is_member(check_word(w).encode("ascii"))
 

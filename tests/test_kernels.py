@@ -12,8 +12,8 @@ from xxrx import _backend, _scan_py, reconstruct
 _MEMBER = reconstruct("0", range(1, 200))
 
 
-# only the split sees most of these triples: is_member searches for 000
-# alone, and profile_of for neither
+# only the split sees most of these triples: is_member searches only the
+# first _scan_py._PREFIX letters, and only for 000, and profile_of not at all
 def test_profile_raises_on_tripled_letters():
     for bad in (
         "000", "111", "010111", "0111", "1110", "1110" + "10" * 500, "10" * 500 + "0111",
@@ -151,6 +151,44 @@ def test_a_long_member_with_111_spliced_near_its_end():
         _scan_py.profile_of(bad.encode("ascii"))
     # no 000, so the split finds this 111
     assert _scan_py.scan_xxrx(bad.encode("ascii")) == ref_find_xxrx(bad) == (k, 1)
+
+
+def _triple_at(w, i, c):
+    """w with c * 3 written over w[i:i + 3], between two other letters."""
+    o = "1" if c == "0" else "0"
+    return w[:i - 1] + o + c * 3 + o + w[i + 4:]
+
+
+# a triple starting at either side of the end of the 000 early exit's
+# prefix: past it, only the split finds a 000.  The member's first block,
+# 300 alternating letters, holds every splice
+@pytest.mark.parametrize("c", "01")
+def test_a_triple_at_the_end_of_the_searched_prefix(c):
+    assert _scan_py._PREFIX == 256
+    member = reconstruct("0", range(300, 0, -1))
+    for i in range(250, 261):
+        bad = _triple_at(member, i, c)
+        assert ref_find_xxrx(bad) == (i, 1)
+        b = bad.encode("ascii")
+        assert not _scan_py.is_member(b) and not _ref_member(bad)
+        with pytest.raises(ValueError, match="triple letter"):
+            _scan_py.profile_of(b)
+        assert _scan_py.scan_xxrx(b) == (i, 1)
+
+
+# the early exit the random words rely on: a 000 in the first 256 letters
+# is found without the split
+@pytest.mark.parametrize("i", [0, 100, 253])
+def test_a_000_in_the_prefix_is_found_without_the_split(monkeypatch, i):
+    bad = _triple_at("1" + _MEMBER, i, "0") if i else "000" + _MEMBER
+    assert ref_find_xxrx(bad) == (i, 1)
+
+    def no_split(w):
+        raise AssertionError("split called")
+
+    monkeypatch.setattr(_scan_py, "_split", no_split)
+    assert not _scan_py.is_member(bad.encode("ascii"))
+    assert _scan_py.scan_xxrx(bad.encode("ascii")) == (i, 1)
 
 
 def _splice(w, pair, last):
