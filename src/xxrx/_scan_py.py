@@ -16,11 +16,11 @@ that gives the profile also finds every triple letter, and
 ``profile_of`` runs no search of its own.  An empty interior piece is
 no longer than either neighbour, so it is a valley of the pieces'
 lengths, and ``is_member`` decides triples and valleys in one test on
-them.  ``is_member`` and ``scan_xxrx`` first search for 000 as an early
-exit for random words, and read only the first ``_PREFIX`` letters for
-it: the split decides every triple past them, so the bound changes only
-the cost, never an answer.  ``scan_xxrx`` looks for a 111 only once it
-has found a 000.
+them.  ``is_member`` first searches the first ``_PREFIX`` letters for
+000, as an early exit for random words: the split decides every triple
+past them, so the bound changes only the cost, never an answer.
+``scan_xxrx`` searches the whole word for 000 the same way, and looks
+for a 111 only once it has found a 000.
 
 Conversion from and to bytes, the shift, the XOR and the split all run
 in C, in time linear in the word length.  No decimal string is built,
@@ -34,10 +34,10 @@ left to right, since a shortest instance has one block as its x^R.
 
 from __future__ import annotations
 
-# how many leading letters the 000 early exit reads.  A uniform random
-# word avoids 000 in its first 256 letters with probability ~5.5e-10
-# (words of length 256 avoiding 000, over 2**256); a member pays for
-# this much search and no more before its split
+# how many leading letters is_member's 000 early exit reads.  A uniform
+# random word avoids 000 in its first 256 letters with probability
+# ~5.5e-10 (words of length 256 avoiding 000, over 2**256); a member
+# pays for this much search and no more before its split
 _PREFIX = 256
 
 
@@ -92,22 +92,18 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     if n < 3:
         return None
     # t = 1 is a triple letter.  As in is_member, a 000 is searched for
-    # first, in the first _PREFIX letters, as an early exit; then only a
-    # 111 left of it can come first.  That search is not bounded at the
-    # 000: on a random word both stop within a few letters, and the bound
-    # would cost more than it saves.  For the same reason a word no longer
-    # than the prefix is searched without bounds: their two arguments cost
-    # more than a search of up to _PREFIX letters
-    i0 = w.find(b"000") if n <= _PREFIX else w.find(b"000", 0, _PREFIX)
+    # first, as an early exit; then only a 111 left of it can come first.
+    # That search is not bounded at the 000: on a random word both stop
+    # within a few letters, and the bounds would cost more than they save
+    i0 = w.find(b"000")
     if i0 >= 0:
         i1 = w.find(b"111")
         return (i1 if 0 <= i1 < i0 else i0, 1)
     # a shortest instance has its centres at consecutive block starts, the
     # ends of an interior block (see _is_instance); left to right, a strictly
     # shorter hit replaces the best, so the first of the shortest is kept.
-    # A triple is an interior block of length 1, so the first t = 1 hit is
-    # the leftmost 111, or 000 past the prefix, and nothing shorter can
-    # follow it
+    # A 111 is an interior block of length 1, so the first t = 1 hit is
+    # the leftmost 111, and nothing shorter can follow it
     blocks = _blocks(w)
     found = None
     best = n

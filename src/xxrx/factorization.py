@@ -122,7 +122,7 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
 def is_in_l_linear(w: str) -> bool:
     """Linear-time test for avoidance of x x^R x.
 
-    Rejects a word with a 000 in its first 256 letters at once.
+    Rejects a word with a 000 in a short prefix at once.
     Otherwise splits the word into its blocks in one linear pass and
     rejects on a valley of the block lengths; a triple letter anywhere
     is a block of length 1 inside the word, so it is such a valley too.

@@ -159,14 +159,15 @@ def _triple_at(w, i, c):
     return w[:i - 1] + o + c * 3 + o + w[i + 4:]
 
 
-# a triple starting at either side of the end of the 000 early exit's
-# prefix: past it, only the split finds a 000.  The member's first block,
-# 300 alternating letters, holds every splice
+# a triple starting at either side of the end of the prefix that
+# is_member searches for 000: past it, only its split finds a 000.  The
+# member's first block, 44 letters longer than the prefix, holds every
+# splice
 @pytest.mark.parametrize("c", "01")
 def test_a_triple_at_the_end_of_the_searched_prefix(c):
-    assert _scan_py._PREFIX == 256
-    member = reconstruct("0", range(300, 0, -1))
-    for i in range(250, 261):
+    p = _scan_py._PREFIX
+    member = reconstruct("0", range(p + 44, 0, -1))
+    for i in range(p - 6, p + 5):
         bad = _triple_at(member, i, c)
         assert ref_find_xxrx(bad) == (i, 1)
         b = bad.encode("ascii")
@@ -176,9 +177,9 @@ def test_a_triple_at_the_end_of_the_searched_prefix(c):
         assert _scan_py.scan_xxrx(b) == (i, 1)
 
 
-# the early exit the random words rely on: a 000 in the first 256 letters
-# is found without the split
-@pytest.mark.parametrize("i", [0, 100, 253])
+# the early exit the random words rely on: a 000 in the searched prefix
+# is found without the split, the last one that fits in it included
+@pytest.mark.parametrize("i", [0, 100, _scan_py._PREFIX - 3])
 def test_a_000_in_the_prefix_is_found_without_the_split(monkeypatch, i):
     bad = _triple_at("1" + _MEMBER, i, "0") if i else "000" + _MEMBER
     assert ref_find_xxrx(bad) == (i, 1)
