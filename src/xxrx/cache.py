@@ -1,5 +1,9 @@
 """In-process memo of the count tables.
 
+No package code calls it: each ``xxrx`` command builds the one table it
+prints.  It stays only for the benchmark's ``tables`` workload, until
+that workload is redefined as cold builds (ROADMAP.md, open items).
+
 The process keeps the longest table it has built.  A request within it
 slices its columns; a longer one builds the table and replaces it.
 Slicing is exact: coefficient n of every series in ``counting`` depends

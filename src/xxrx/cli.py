@@ -1,5 +1,10 @@
 """Command-line front end.
 
+Each subcommand makes one library call and prints its result through one
+renderer.  A process keeps nothing between calls: ``count`` and
+``oeis-compare`` build the one CountTable they print, and ``asym`` the
+one u_tilde series it needs.
+
 Exit codes follow one convention across subcommands: 0 for success or a
 positive verdict, 1 for a negative verdict or a domain rejection, 2 for
 input that cannot be parsed at all.  Each subcommand returns only its
@@ -27,14 +32,15 @@ import sys
 
 from . import __version__
 from .bruteforce import cross_check
-from .cache import cached_table
 from .counting import (
     COLUMN_ALIASES,
     MAX_TABLE_LIMIT,
     AsymptoticEstimate,
+    CountTable,
     asymptotic_u_tilde,
+    gf_u_tilde,
 )
-from .factorization import FactorDomainError, ProfileError, factorize, is_in_l_linear, reconstruct
+from .factorization import FactorDomainError, ProfileError, factorize, reconstruct
 from .intersect import verify_intersection_claim
 from .oeis import KNOWN_SEQUENCE_IDS, BFileParseError, compare_values, format_bfile, read_bfile
 from .sequences import format_sequence, parse_sequence
@@ -66,10 +72,10 @@ def _capped(limit: int) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    if is_in_l_linear(args.word):
+    instance = find_xxrx_instance(args.word)
+    if instance is None:
         print("IN_L")
         return EXIT_OK
-    instance = find_xxrx_instance(args.word)
     print(f"instance ({instance.start},{instance.block_len})")
     return EXIT_FAIL
 
@@ -88,18 +94,11 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise ValueError("N must be nonnegative")
-    table = cached_table(_capped(args.limit))
+    table = CountTable.build(_capped(args.limit))
     if args.format == "bfile":
-        name = COLUMN_ALIASES[args.column or "c"]
-        sys.stdout.write(format_bfile(table.column(name)))
-    elif args.column is None:
-        sys.stdout.write(table.to_csv())
+        sys.stdout.write(format_bfile(table.column(args.column or "c")))
     else:
-        name = COLUMN_ALIASES[args.column]
-        values = table.column(name)
-        lines = [f"n,{name}"]
-        lines.extend(f"{n},{values[n]}" for n in range(args.limit + 1))
-        sys.stdout.write("\n".join(lines) + "\n")
+        sys.stdout.write(table.to_csv(args.column))
     return EXIT_OK
 
 
@@ -126,7 +125,7 @@ def cmd_asym(args: argparse.Namespace) -> int:
         raise ValueError("n must be at least 1")
     exact = None
     if args.n <= _ASYM_EXACT_LIMIT:
-        exact = cached_table(args.n).u_tilde[args.n]
+        exact = gf_u_tilde(args.n)[args.n]
     est = asymptotic_u_tilde(args.n, exact)
     if est.log10_value >= _ASYM_LOG10_LIMIT:
         raise _Refused(
@@ -140,14 +139,10 @@ def cmd_asym(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
-    report = cross_check(args.words, args.seq)
-    sys.stdout.write(report.as_csv() if args.format == "csv" else report.as_text())
-    return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def cmd_cfl_verify(args: argparse.Namespace) -> int:
-    report = verify_intersection_claim(args.max_exp)
+def cmd_report(args: argparse.Namespace) -> int:
+    """``oracle`` and ``cfl-verify``: the report that ``args.report``
+    makes, in the chosen format; exit 1 when it finds a disagreement."""
+    report = args.report(args)
     sys.stdout.write(report.as_csv() if args.format == "csv" else report.as_text())
     return EXIT_OK if report.ok else EXIT_FAIL
 
@@ -176,7 +171,7 @@ def cmd_oeis_compare(args: argparse.Namespace) -> int:
         print("warning: no overlapping indices; comparison is vacuous")
         return EXIT_OK
     # a negative offset asks for local indices beyond the b-file's
-    table = cached_table(_capped(max(usable) - args.offset))
+    table = CountTable.build(_capped(max(usable) - args.offset))
     mismatches, overlap = compare_values(bfile, table.column(name), args.offset)
     for m in mismatches:
         print(f"n={m.index} local={m.local} reference={m.reference}")
@@ -227,12 +222,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", type=int, default=12, help="max word length (default 12)")
     p.add_argument("--seq", type=int, default=25, help="max sequence weight (default 25)")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=cmd_oracle)
+    p.set_defaults(func=cmd_report, report=lambda a: cross_check(a.words, a.seq))
 
     p = sub.add_parser("cfl-verify", help="scan the quadruple family against its predicate")
     p.add_argument("--max-exp", type=int, default=8, dest="max_exp")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=cmd_cfl_verify)
+    p.set_defaults(func=cmd_report, report=lambda a: verify_intersection_claim(a.max_exp))
 
     p = sub.add_parser("oeis-compare", help="diff a column against a downloaded b-file")
     p.add_argument("path")

@@ -22,10 +22,11 @@ product of (1 - q^j) over j >= 1, in O(N^1.5) additions each:
   is the sum over p >= 0 of q^(p+1) times the product of (1 + q^j)^2 for
   j <= p (G. E. Andrews, "Concave and convex compositions", Ramanujan
   J. 31 (2013)), and R(q) is the sum over n >= 1 and 0 <= j <= (n-1)/2
-  of (-1)^j q^(T(n) - T(j)), with T(k) = k(k+1)/2.  U = R / E was found
-  numerically and is not proven; only the tests pin it, against an
-  independent sweep at every n <= 2000 and against the equal-peak
-  sequences listed one by one up to weight 14.
+  of (-1)^j q^(T(n) - T(j)), with T(k) = k(k+1)/2.  U = R / E
+  ("identity 2") was found numerically and is not proven.  It is
+  checked at every n <= 10000 against a sweep of Andrews' sum itself
+  (the tests run it to 2000, CI to MAX_TABLE_LIMIT), and against the
+  equal-peak sequences listed one by one up to weight 14.
 * t2 = u_tilde - 1 - 2U exactly: (1 + q^(p+1))^2 - 1 = 2 q^(p+1) +
   q^(2p+2); times the product of (1 + q^j)^2 for j <= p, it telescopes
   over p.  So v = u_tilde - U, which is how CountTable.build takes it.
@@ -157,12 +158,13 @@ class CountTable(namedtuple("CountTable", "limit u_tilde v c")):
         except KeyError:
             raise ValueError(f"unknown column {name!r}; expected one of u, v, c") from None
 
-    def to_csv(self) -> str:
-        lines = ["n,u_tilde,v,c"]
-        lines.extend(
-            f"{n},{self.u_tilde[n]},{self.v[n]},{self.c[n]}" for n in range(self.limit + 1)
-        )
-        return "\n".join(lines) + "\n"
+    def to_csv(self, column: str | None = None) -> str:
+        """Rows n,value under a header: for the one column named (any name
+        ``column`` takes), or for u_tilde, v and c when column is None."""
+        names = ("u_tilde", "v", "c") if column is None else (COLUMN_ALIASES.get(column, column),)
+        fields = [map(str, range(self.limit + 1))]
+        fields.extend(map(str, self.column(name)) for name in names)
+        return "\n".join([",".join(("n", *names)), *map(",".join, zip(*fields))]) + "\n"
 
 
 def _log_estimate(n: int) -> float:

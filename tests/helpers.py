@@ -151,6 +151,32 @@ def ref_series(limit: int) -> tuple[list[int], list[int]]:
     return prod, t2
 
 
+def strongly_unimodal_sweep(limit: int, bound: int) -> list[int]:
+    """Coefficients 0..limit of U, from Andrews' sum over p >= 0 of
+    q^(p+1) times the product of (1 + q^j)^2 for j <= p: a strict-peak
+    sequence with peak p + 1 is a pair of distinct-part partitions with
+    parts <= p, one on each side of the peak.
+
+    Each series is one packed integer, coefficient k in slot k of a
+    width that holds ``bound``; every coefficient met must be at most
+    ``bound`` (the product's are at most u_tilde's), else it carries
+    into the next slot and the result is wrong.  The term for p reads
+    only the product's coefficients below limit - p, so the product is
+    cut there.
+    """
+    size = bound.bit_length() // 8 + 1
+    width = 8 * size
+    prod, total = 1, 0
+    for p in range(limit):
+        if p:
+            for _ in range(2):
+                prod += prod << (p * width)
+            prod &= (1 << ((limit - p) * width)) - 1
+        total += prod << ((p + 1) * width)
+    data = total.to_bytes((limit + 1) * size, "little")
+    return [int.from_bytes(data[k * size : (k + 1) * size], "little") for k in range(limit + 1)]
+
+
 def all_words(n: int) -> Iterator[str]:
     fmt = f"0{n}b"
     if n == 0:

@@ -1,10 +1,13 @@
-from pathlib import Path
-
 import pytest
 
 from xxrx import CountTable, cache
 from xxrx.cache import cached_table
-from xxrx.cli import main
+
+
+@pytest.fixture(autouse=True)
+def _fresh_table_memo(monkeypatch):
+    # each test starts with no table another test built
+    monkeypatch.setattr(cache, "_longest", None)
 
 
 def count_builds(monkeypatch):
@@ -56,28 +59,3 @@ def test_cache_is_isolated_per_test():
     # the autouse fixture clears the memo before every test
     assert cache._longest is None
 
-
-def test_cli_writes_no_file(monkeypatch, tmp_path, capsys):
-    home = tmp_path / "home"
-    home.mkdir()
-    monkeypatch.setenv("HOME", str(home))
-    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
-    monkeypatch.chdir(home)
-    assert main(["count", "30"]) == 0
-    assert main(["asym", "5"]) == 0
-    assert capsys.readouterr().err == ""
-    assert list(home.iterdir()) == []
-
-
-def test_no_home_directory_means_no_cache(monkeypatch, capsys):
-    # Path.home raises when HOME is unset and the uid has no passwd entry
-    def no_home(cls):
-        raise RuntimeError("Could not determine home directory.")
-
-    monkeypatch.delenv("XXRX_CACHE_DIR", raising=False)
-    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
-    monkeypatch.setattr(Path, "home", classmethod(no_home))
-    assert cached_table(5) == CountTable.build(5)
-    assert main(["count", "3"]) == 0
-    assert main(["asym", "5"]) == 0
-    assert capsys.readouterr().err == ""

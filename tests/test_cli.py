@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxrx
-from xxrx import CountTable, cli, count_c, format_bfile, oeis
+from xxrx import CountTable, _backend, cli, count_c, find_xxrx_instance, format_bfile, oeis
 from xxrx.cli import main
 from xxrx.counting import MAX_TABLE_LIMIT
 
@@ -34,6 +34,33 @@ def test_check_non_member_prints_witness(capsys):
     assert code == 1 and out == "instance (0,1)\n"
     code, out, _ = run(capsys, "check", "010110100101")
     assert code == 1 and out == "instance (0,4)\n"
+
+
+def test_check_is_one_scan(capsys, monkeypatch):
+    # the verdict and the instance come from one find_xxrx_instance
+    # call; the linear recognizer's kernel is not reached
+    def no_kernel(word):
+        raise AssertionError("is_member called")
+
+    scans = []
+
+    def scan(word):
+        scans.append(word)
+        return find_xxrx_instance(word)
+
+    monkeypatch.setattr(_backend, "is_member", no_kernel)
+    monkeypatch.setattr(cli, "find_xxrx_instance", scan)
+    member = xxrx.reconstruct("0", range(1, 60))
+    for word, want in [
+        ("00", (0, "IN_L\n")),
+        (member, (0, "IN_L\n")),
+        ("010110100101", (1, "instance (0,4)\n")),
+        (member + "000", (1, f"instance ({len(member)},1)\n")),
+    ]:
+        scans.clear()
+        code, out, err = run(capsys, "check", word)
+        assert (code, out, err) == (*want, "")
+        assert scans == [word]
 
 
 def test_check_bad_alphabet(capsys):
@@ -146,19 +173,21 @@ def test_count_negative(capsys):
 
 
 def test_table_cap(capsys, monkeypatch, tmp_path):
+    # count_c builds through CountTable.build too, so the b-file is
+    # written before the patch
+    path = tmp_path / "b261204.txt"
+    path.write_text(format_bfile(count_c(2)))
     built = []
 
-    def fake_cached_table(limit):
+    def fake_build(limit):
         built.append(limit)
-        return CountTable.build(2)
+        return CountTable(2, (1, 2, 3), (1, 1, 2), (1, 2, 4))
 
-    monkeypatch.setattr(cli, "cached_table", fake_cached_table)
+    monkeypatch.setattr(cli.CountTable, "build", fake_build)
     code, _, err = run(capsys, "count", str(MAX_TABLE_LIMIT))
     assert code == 0 and err == "" and built == [MAX_TABLE_LIMIT]
     code, out, err = run(capsys, "count", str(MAX_TABLE_LIMIT + 1))
     assert code == 1 and out == "" and err.startswith("error:")
-    path = tmp_path / "b261204.txt"
-    path.write_text(format_bfile(count_c(2)))
     code, out, _ = run(capsys, "oeis-compare", str(path), "--limit", str(MAX_TABLE_LIMIT))
     assert code == 0 and "3 shared indices agree" in out
     for options in (["--limit", str(MAX_TABLE_LIMIT + 1)], [f"--offset=-{MAX_TABLE_LIMIT}"]):
@@ -166,6 +195,18 @@ def test_table_cap(capsys, monkeypatch, tmp_path):
         assert code == 1 and out == "" and err.startswith("error:")
     # no table was built above the cap
     assert built == [MAX_TABLE_LIMIT, 2]
+
+
+def test_cli_writes_no_file(monkeypatch, tmp_path, capsys):
+    home = tmp_path / "home"
+    home.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    monkeypatch.chdir(home)
+    assert main(["count", "30"]) == 0
+    assert main(["asym", "5"]) == 0
+    assert capsys.readouterr().err == ""
+    assert list(home.iterdir()) == []
 
 
 def test_asym_with_exact(capsys):

@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from helpers import count_partition_pairs, gf_u_reversed_order, ref_series
+from helpers import (
+    count_partition_pairs,
+    gf_u_reversed_order,
+    ref_series,
+    strongly_unimodal_sweep,
+)
 from xxrx import (
     CountTable,
     SequenceKind,
@@ -75,6 +80,21 @@ def test_packed_series_match_the_sweep(limits):
         assert type2_counts(limit) == t2
 
 
+def test_identity_2_from_its_definition():
+    # v = u_tilde - U, with U = R / E in the table and Andrews' sum here;
+    # the sweep's slots hold u_tilde(2000), the largest coefficient met
+    table = CountTable.build(2000)
+    strict = strongly_unimodal_sweep(2000, table.u_tilde[-1])
+    assert [u - s for u, s in zip(table.u_tilde, strict)] == list(table.v)
+
+
+def test_shorter_tables_are_prefixes():
+    # coefficient n of each series depends only on those below it
+    longest = CountTable.build(1200)
+    for n in [*range(301), 1000, 1200]:
+        assert CountTable.build(n) == CountTable(n, *(col[: n + 1] for col in longest[1:]))
+
+
 def test_table_at_the_cap():
     table = CountTable.build(MAX_TABLE_LIMIT)
     prefix = CountTable.build(2000)
@@ -107,6 +127,12 @@ def test_count_table_columns_and_csv():
     with pytest.raises(ValueError):
         table.column("w")
     assert table.to_csv() == "n,u_tilde,v,c\n0,1,1,1\n1,2,1,2\n2,3,2,4\n"
+    # one column, headed by its full name
+    assert table.to_csv("c") == "n,c\n0,1\n1,2\n2,4\n"
+    assert table.to_csv("v") == "n,v\n0,1\n1,1\n2,2\n"
+    assert table.to_csv("u") == table.to_csv("u_tilde") == "n,u_tilde\n0,1\n1,2\n2,3\n"
+    with pytest.raises(ValueError):
+        table.to_csv("w")
 
 
 def test_verify_bounds():

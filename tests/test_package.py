@@ -19,10 +19,12 @@ def test_public_names_are_unique_and_resolve():
 
 def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
     # -S keeps site's own imports out; the records are named tuples, so
-    # the package needs none of these
+    # the package needs none of these, and each command builds its own
+    # table, so the CLI needs no table memo
     code = (
         "import sys, xxrx.cli; print(xxrx.cli.__file__); "
-        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'typing') if m in sys.modules])"
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'typing', 'xxrx.cache') "
+        "if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
