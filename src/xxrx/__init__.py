@@ -9,13 +9,14 @@ predicate, plus a CLI (``xxrx``) wiring it all together.
 The package re-exports the ``__all__`` of each of its seven public
 modules, so a public name is listed once, in its own module.  The
 kernels (pattern scan, profile extraction, membership) are pure Python,
-in one module; ``BACKEND`` names it.
+in one module, ``_scan_py``, which ``words`` and ``factorization`` call
+directly; ``BACKEND`` names it.
 """
 
 __version__ = "0.1.0"
 
 from . import bruteforce, counting, factorization, intersect, oeis, sequences, words
-from ._backend import BACKEND, available_backends
+from ._scan_py import BACKEND
 from .bruteforce import *  # noqa: F403
 from .counting import *  # noqa: F403
 from .factorization import *  # noqa: F403
@@ -26,7 +27,6 @@ from .words import *  # noqa: F403
 
 __all__ = [
     "BACKEND",
-    "available_backends",
     *bruteforce.__all__,
     *counting.__all__,
     *factorization.__all__,

@@ -1,4 +1,4 @@
-"""Pure-Python scan kernels, re-exported by ``_backend``.
+"""The package's scan kernels, in pure Python; ``BACKEND`` names them.
 
 Words arrive as ASCII bytes of b'0'/b'1' (callers validate the alphabet).
 
@@ -15,10 +15,11 @@ split, where only the first and last pieces may be empty.  So the split
 that gives the profile also finds every triple letter, and
 ``profile_of`` runs no search of its own.  An empty interior piece is
 no longer than either neighbour, so it is a valley of the pieces'
-lengths, and ``is_member`` decides triples and valleys in one test on
-them.  ``is_member`` first searches the first ``_PREFIX`` letters for
-000, as an early exit for random words: the split decides every triple
-past them, so the bound changes only the cost, never an answer.
+lengths, and ``is_member`` decides triples and valleys in one call of
+``sequences._first_valley``, the valley test that defines X.  It first
+searches the first ``_PREFIX`` letters for 000, as an early exit for
+random words: the split decides every triple past them, so the bound
+changes only the cost, never an answer.
 ``scan_xxrx`` searches the whole word for 000 the same way, and looks
 for a 111 only once it has found a 000.
 
@@ -33,6 +34,11 @@ left to right, since a shortest instance has one block as its x^R.
 """
 
 from __future__ import annotations
+
+from .sequences import _first_valley
+
+# names the kernel module for reports and benchmark records
+BACKEND = "python"
 
 # how many leading letters is_member's 000 early exit reads.  A uniform
 # random word avoids 000 in its first 256 letters with probability
@@ -140,8 +146,5 @@ def is_member(w: bytes) -> bool:
         return False
     # each run is its block less one letter, which moves no valley, and a
     # triple is an empty interior run, no longer than either neighbour: a
-    # valley too.  So one valley test decides both
-    runs = list(map(len, _split(w)))
-    return not any(
-        runs[j - 1] >= runs[j] <= runs[j + 1] for j in range(1, len(runs) - 1)
-    )
+    # valley too.  So X's valley test decides both
+    return not _first_valley(list(map(len, _split(w))))

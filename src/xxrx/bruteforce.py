@@ -22,8 +22,8 @@ from collections.abc import Iterable, Iterator
 
 from ._scan_py import _is_instance
 from .counting import CountTable
-from .factorization import profile
-from .sequences import _echo, in_x
+from .factorization import _check_start_letter, profile
+from .sequences import in_x
 
 __all__ = [
     "CrossCheckReport",
@@ -151,22 +151,23 @@ def brute_count_words(n: int) -> int:
 
 
 def iter_words_in_l(n: int, start_letter: str | None = None) -> Iterator[str]:
-    """Yield the length-n words avoiding x x^R x, in numeric order.
+    """The length-n words avoiding x x^R x, in numeric order.
 
     start_letter restricts to words beginning with that letter; the
-    empty word is yielded for n = 0 regardless.
+    empty word is yielded for n = 0 regardless.  Bad arguments raise
+    ValueError at the call, not at the first item.
     """
     _check_range(n, MAX_BRUTE_WORD_LEN, "brute-force word scan")
-    if start_letter not in (None, "0", "1"):
-        raise ValueError(f"start letter must be '0' or '1', not {_echo(start_letter)}")
-    yield from _walk_words(n, (n,), start_letter or "01")[1][n]
+    if start_letter is not None:
+        _check_start_letter(start_letter)
+    return iter(_walk_words(n, (n,), start_letter or "01")[1][n])
 
 
 def iter_x_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """Yield the valley-free positive sequences of weight n, in
-    lexicographic order."""
+    """The valley-free positive sequences of weight n, in lexicographic
+    order.  A weight out of range raises ValueError at the call."""
     _check_range(n, MAX_BRUTE_SEQ_WEIGHT, "brute-force sequence scan")
-    yield from _walk_sequences(n, (n,))[1][n]
+    return iter(_walk_sequences(n, (n,))[1][n])
 
 
 def brute_count_x(n: int) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from . import _backend
+from ._scan_py import is_member, profile_of
 from .sequences import _echo, _entries, parse_sequence
 from .words import check_word
 
@@ -49,7 +49,7 @@ def profile(w: str) -> tuple[int, ...]:
     """Block-length profile of a triple-free word."""
     b = check_word(w).encode("ascii")
     try:
-        return tuple(_backend.profile_of(b))
+        return tuple(profile_of(b))
     except ValueError:
         raise FactorDomainError("word contains 000 or 111; factorization undefined") from None
 
@@ -96,6 +96,12 @@ def validate_profile(entries: Iterable[int]) -> tuple[int, ...]:
     return p
 
 
+def _check_start_letter(letter: object) -> None:
+    """Raise ValueError unless letter is '0' or '1'."""
+    if letter not in ("0", "1"):
+        raise ValueError(f"start letter must be '0' or '1', not {_echo(letter)}")
+
+
 def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
     """The unique triple-free word with the given start letter and profile.
 
@@ -103,8 +109,7 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
     letter the previous block ended on, which creates the doubled letter
     at the junction.
     """
-    if start_letter not in ("0", "1"):
-        raise ValueError(f"start letter must be '0' or '1', not {_echo(start_letter)}")
+    _check_start_letter(start_letter)
     p = validate_profile(entries)
     weight = sum(p)
     if weight > MAX_RECONSTRUCT_LEN:
@@ -128,7 +133,7 @@ def is_in_l_linear(w: str) -> bool:
     is a block of length 1 inside the word, so it is such a valley too.
     Agrees with the direct instance scan.
     """
-    return _backend.is_member(check_word(w).encode("ascii"))
+    return is_member(check_word(w).encode("ascii"))
 
 
 def parse_profile(text: str) -> tuple[int, ...]:

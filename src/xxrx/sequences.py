@@ -61,8 +61,12 @@ def _entries(seq: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _first_valley(s: tuple[int, ...]) -> int:
-    """Smallest 1-based valley index of s, or 0 if it has none."""
+def _first_valley(s: Sequence[int]) -> int:
+    """Smallest 1-based valley index of s, or 0 if it has none.
+
+    The entries may be any integers, zeros included: ``_scan_py.is_member``
+    passes the run lengths of a word, in which a triple letter is a 0.
+    """
     for j in range(1, len(s) - 1):
         if s[j - 1] >= s[j] <= s[j + 1]:
             return j + 1

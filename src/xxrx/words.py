@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from . import _backend
+from ._scan_py import scan_xxrx
 
 __all__ = [
     "PatternInstance",
@@ -58,7 +58,7 @@ def find_xxrx_instance(w: str) -> PatternInstance | None:
     """Earliest instance of x x^R x: a block, its mirror image, the block
     again.  Minimal block length wins, then minimal start; None if the
     word avoids the pattern."""
-    hit = _backend.scan_xxrx(check_word(w).encode("ascii"))
+    hit = scan_xxrx(check_word(w).encode("ascii"))
     return None if hit is None else PatternInstance(*hit)
 
 

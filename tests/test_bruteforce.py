@@ -77,6 +77,17 @@ def _all(n):
     return [format(v, f"0{n}b") for v in range(1 << n)]
 
 
+def test_iterators_validate_arguments_at_the_call():
+    # no next() is needed for the error
+    for call in (
+        lambda: iter_words_in_l(30),
+        lambda: iter_words_in_l(3, "2"),
+        lambda: iter_x_sequences(99),
+    ):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_iter_words_in_l_validates_arguments():
     with pytest.raises(ValueError):
         list(iter_words_in_l(30))

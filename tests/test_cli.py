@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxrx
-from xxrx import CountTable, _backend, cli, count_c, find_xxrx_instance, format_bfile, oeis
+from xxrx import CountTable, cli, count_c, factorization, find_xxrx_instance, format_bfile, oeis
 from xxrx.cli import main
 from xxrx.counting import MAX_TABLE_LIMIT
 
@@ -38,7 +38,8 @@ def test_check_non_member_prints_witness(capsys):
 
 def test_check_is_one_scan(capsys, monkeypatch):
     # the verdict and the instance come from one find_xxrx_instance
-    # call; the linear recognizer's kernel is not reached
+    # call; the linear recognizer's kernel, as factorization binds it, is
+    # not reached
     def no_kernel(word):
         raise AssertionError("is_member called")
 
@@ -48,7 +49,7 @@ def test_check_is_one_scan(capsys, monkeypatch):
         scans.append(word)
         return find_xxrx_instance(word)
 
-    monkeypatch.setattr(_backend, "is_member", no_kernel)
+    monkeypatch.setattr(factorization, "is_member", no_kernel)
     monkeypatch.setattr(cli, "find_xxrx_instance", scan)
     member = xxrx.reconstruct("0", range(1, 60))
     for word, want in [

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from helpers import all_words, ref_find_xxrx, ref_in_x_template, ref_profile
-from xxrx import _backend, _scan_py, reconstruct
+from xxrx import _backend, _scan_py, reconstruct, sequences
 
 
 # 19900 letters, ending in 1
@@ -34,10 +34,29 @@ def test_pure_kernels_direct():
 
 
 def test_backend_exports_only_the_kernels():
-    # perfbench traces every callable of _backend, one span per call, so
-    # a helper such as _is_instance stays out of it
+    # _backend exists for perfbench alone, which traces every callable in
+    # it, one span per call, so a helper such as _is_instance stays out
     exported = {name for name, obj in vars(_backend).items() if callable(obj)}
     assert exported == {"is_member", "profile_of", "scan_xxrx", "available_backends"}
+
+
+def test_is_member_decides_by_the_valley_test_of_x(monkeypatch):
+    # one valley test serves the recognizer and sequences.in_x: is_member
+    # hands the run lengths of its split to sequences._first_valley
+    seen = []
+    real = sequences._first_valley
+
+    def first_valley(s):
+        seen.append(list(s))
+        return real(s)
+
+    monkeypatch.setattr(_scan_py, "_first_valley", first_valley)
+    # a member and a near-member, whose one valley is its middle block;
+    # each run is one letter shorter than its block
+    for prof, want in [((2, 3, 2), True), ((3, 2, 3), False)]:
+        seen.clear()
+        assert _scan_py.is_member(reconstruct("0", prof).encode("ascii")) is want
+        assert seen == [[d - 1 for d in prof]]
 
 
 @pytest.mark.parametrize("w", ["010110100101", b"010110100101"])

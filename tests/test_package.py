@@ -19,11 +19,13 @@ def test_public_names_are_unique_and_resolve():
 
 def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
     # -S keeps site's own imports out; the records are named tuples, so
-    # the package needs none of these, and each command builds its own
-    # table, so the CLI needs no table memo
+    # the package needs none of these; each command builds its own
+    # table, so the CLI needs no table memo; and the package calls its
+    # kernels from _scan_py, so it needs no _backend, the benchmark's shim
     code = (
         "import sys, xxrx.cli; print(xxrx.cli.__file__); "
-        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'typing', 'xxrx.cache') "
+        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'typing', 'xxrx.cache', "
+        "'xxrx._backend') "
         "if m in sys.modules])"
     )
     proc = subprocess.run(
