@@ -1,9 +1,13 @@
 """Command-line front end.
 
-Each subcommand makes one library call and prints its result through one
-renderer.  A process keeps nothing between calls: ``count`` and
-``oeis-compare`` build the one CountTable they print, and ``asym`` the
-one u_tilde series it needs.
+Each subcommand makes one library call and imports only the modules it
+needs, when it runs, and prints its result through one renderer.  So
+``import xxrx.cli`` loads no library module (``xxrx/__init__`` binds
+only ``__version__`` at import): ``check`` loads ``words`` and the
+kernels, ``asym`` loads ``counting``, and no command compiles the
+oracles or the b-file reader unless it calls them.  A process keeps
+nothing between calls: ``count`` and ``oeis-compare`` build the one
+CountTable they print, and ``asym`` the one u_tilde series it needs.
 
 Exit codes follow one convention across subcommands: 0 for success or a
 positive verdict, 1 for a negative verdict or a domain rejection, 2 for
@@ -31,20 +35,6 @@ import os
 import sys
 
 from . import __version__
-from .bruteforce import cross_check
-from .counting import (
-    COLUMN_ALIASES,
-    MAX_TABLE_LIMIT,
-    AsymptoticEstimate,
-    CountTable,
-    asymptotic_u_tilde,
-    gf_u_tilde,
-)
-from .factorization import FactorDomainError, ProfileError, factorize, reconstruct
-from .intersect import verify_intersection_claim
-from .oeis import KNOWN_SEQUENCE_IDS, BFileParseError, compare_values, format_bfile, read_bfile
-from .sequences import format_sequence, parse_sequence
-from .words import find_xxrx_instance
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,17 +51,17 @@ class _Refused(ValueError):
     """A domain rejection made by the CLI itself; exits 1."""
 
 
-# rejections of well-formed input; every other ValueError exits 2
-_DOMAIN_REJECTIONS = (FactorDomainError, ProfileError, _Refused)
-
-
 def _capped(limit: int) -> int:
+    from .counting import MAX_TABLE_LIMIT
+
     if limit > MAX_TABLE_LIMIT:
         raise _Refused(f"table index {limit} is above the cap of {MAX_TABLE_LIMIT}")
     return limit
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .words import find_xxrx_instance
+
     instance = find_xxrx_instance(args.word)
     if instance is None:
         print("IN_L")
@@ -81,30 +71,40 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_factor(args: argparse.Namespace) -> int:
+    from .factorization import factorize
+    from .sequences import format_sequence
+
     f = factorize(args.word)
     print(f"start={f.start_letter or '-'} profile={format_sequence(f.profile)}")
     return EXIT_OK
 
 
 def cmd_invert(args: argparse.Namespace) -> int:
+    from .factorization import reconstruct
+    from .sequences import parse_sequence
+
     print(reconstruct(args.start, parse_sequence(args.profile)))
     return EXIT_OK
 
 
 def cmd_count(args: argparse.Namespace) -> int:
+    from .counting import CountTable
+
     if args.limit < 0:
         raise ValueError("N must be nonnegative")
     table = CountTable.build(_capped(args.limit))
     if args.format == "bfile":
+        from .oeis import format_bfile
+
         sys.stdout.write(format_bfile(table.column(args.column or "c")))
     else:
         sys.stdout.write(table.to_csv(args.column))
     return EXIT_OK
 
 
-def _format_estimate(est: AsymptoticEstimate) -> str:
-    """The float's repr while it is finite, else mantissa and power of
-    ten taken from the logarithm.
+def _format_estimate(est) -> str:
+    """An AsymptoticEstimate's float repr while it is finite, else
+    mantissa and power of ten taken from the logarithm.
 
     A double-precision logarithm L fixes the mantissa to about
     15 - log10(L) significant digits, so the printed decimals shrink as
@@ -121,6 +121,8 @@ def _format_estimate(est: AsymptoticEstimate) -> str:
 
 
 def cmd_asym(args: argparse.Namespace) -> int:
+    from .counting import asymptotic_u_tilde, gf_u_tilde
+
     if args.n < 1:
         raise ValueError("n must be at least 1")
     exact = None
@@ -148,6 +150,9 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_oeis_compare(args: argparse.Namespace) -> int:
+    from .counting import COLUMN_ALIASES, CountTable
+    from .oeis import KNOWN_SEQUENCE_IDS, BFileParseError, compare_values, read_bfile
+
     if args.limit < 0:
         raise ValueError("--limit must be nonnegative")
     limit = _capped(args.limit)
@@ -180,6 +185,18 @@ def cmd_oeis_compare(args: argparse.Namespace) -> int:
         return EXIT_FAIL
     print(f"ok: {overlap} shared indices agree")
     return EXIT_OK
+
+
+def _oracle_report(args: argparse.Namespace):
+    from .bruteforce import cross_check
+
+    return cross_check(args.words, args.seq)
+
+
+def _quad_report(args: argparse.Namespace):
+    from .intersect import verify_intersection_claim
+
+    return verify_intersection_claim(args.max_exp)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -222,12 +239,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--words", type=int, default=12, help="max word length (default 12)")
     p.add_argument("--seq", type=int, default=25, help="max sequence weight (default 25)")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=cmd_report, report=lambda a: cross_check(a.words, a.seq))
+    p.set_defaults(func=cmd_report, report=_oracle_report)
 
     p = sub.add_parser("cfl-verify", help="scan the quadruple family against its predicate")
     p.add_argument("--max-exp", type=int, default=8, dest="max_exp")
     p.add_argument("--format", choices=["text", "csv"], default="text")
-    p.set_defaults(func=cmd_report, report=lambda a: verify_intersection_claim(a.max_exp))
+    p.set_defaults(func=cmd_report, report=_quad_report)
 
     p = sub.add_parser("oeis-compare", help="diff a column against a downloaded b-file")
     p.add_argument("path")
@@ -250,8 +267,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_FAIL
     except ValueError as exc:
+        from .factorization import FactorDomainError, ProfileError
+
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL if isinstance(exc, _DOMAIN_REJECTIONS) else EXIT_USAGE
+        # rejections of well-formed input exit 1; every other ValueError exits 2
+        domain = isinstance(exc, (FactorDomainError, ProfileError, _Refused))
+        return EXIT_FAIL if domain else EXIT_USAGE
     return code
 
 

@@ -1,7 +1,12 @@
 """The quadruple word family (01)^i (10)^j (01)^k (10)^l.
 
-Membership of these words in the x x^R x avoiding language collapses to
-a closed-form condition on the four exponents:
+Each of the four pieces alternates and has at least two letters, so the
+word doubles a letter at its three joins (11, 00, 11) and nowhere else,
+and has no 000 or 111.  Its profile is therefore (2i, 2j, 2k, 2l), and
+it is in the x x^R x avoiding language exactly when that profile is
+valley-free (see ``factorization``).  Only the 2nd and 3rd entries have
+a neighbour on each side, and 2a >= 2b <= 2c exactly when a >= b <= c,
+so membership is "no valley at the 2nd or 3rd entry":
 
     (i < j or k < j) and (j < k or l < k)
 
@@ -51,7 +56,8 @@ class QuadExponents(namedtuple("QuadExponents", "i j k l")):
 
 
 def quad_predicate(e: tuple[int, int, int, int]) -> bool:
-    """The closed-form membership condition on the exponents."""
+    """The membership condition on the exponents: no valley at the 2nd
+    or 3rd entry of the profile (2i, 2j, 2k, 2l)."""
     i, j, k, l = e
     return (i < j or k < j) and (j < k or l < k)
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxrx
-from xxrx import CountTable, cli, count_c, factorization, find_xxrx_instance, format_bfile, oeis
+from xxrx import CountTable, count_c, factorization, find_xxrx_instance, format_bfile, oeis, words
 from xxrx.cli import main
 from xxrx.counting import MAX_TABLE_LIMIT
 
@@ -50,7 +50,8 @@ def test_check_is_one_scan(capsys, monkeypatch):
         return find_xxrx_instance(word)
 
     monkeypatch.setattr(factorization, "is_member", no_kernel)
-    monkeypatch.setattr(cli, "find_xxrx_instance", scan)
+    # cmd_check imports find_xxrx_instance from words when it runs
+    monkeypatch.setattr(words, "find_xxrx_instance", scan)
     member = xxrx.reconstruct("0", range(1, 60))
     for word, want in [
         ("00", (0, "IN_L\n")),
@@ -184,7 +185,7 @@ def test_table_cap(capsys, monkeypatch, tmp_path):
         built.append(limit)
         return CountTable(2, (1, 2, 3), (1, 1, 2), (1, 2, 4))
 
-    monkeypatch.setattr(cli.CountTable, "build", fake_build)
+    monkeypatch.setattr(CountTable, "build", fake_build)
     code, _, err = run(capsys, "count", str(MAX_TABLE_LIMIT))
     assert code == 0 and err == "" and built == [MAX_TABLE_LIMIT]
     code, out, err = run(capsys, "count", str(MAX_TABLE_LIMIT + 1))

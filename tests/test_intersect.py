@@ -11,6 +11,7 @@ from xxrx import (
     avoids_xxrx_naive,
     build_quad_word,
     complement,
+    profile,
     quad_predicate,
     reverse,
     verify_intersection_claim,
@@ -28,6 +29,13 @@ def test_build_examples():
     assert build_quad_word(QuadExponents(1, 1, 1, 1)) == "01100110"
     assert build_quad_word(QuadExponents(1, 2, 1, 1)) == "0110100110"
     assert build_quad_word(QuadExponents(2, 1, 1, 1)) == "0101100110"
+
+
+def test_profile_is_twice_the_exponents():
+    # the premise of the module docstring's proof: the word is triple-free
+    # (profile accepts it) and splits at its three joins alone
+    for e in itertools.product(range(1, 7), repeat=4):
+        assert profile(build_quad_word(e)) == tuple(2 * x for x in e)
 
 
 def test_exponent_validation():

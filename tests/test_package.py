@@ -4,8 +4,24 @@ import sys
 from pathlib import Path
 
 import xxrx
+from xxrx import bruteforce, counting, factorization, intersect, oeis, sequences, words
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
+
+
+def run_bare(code):
+    """stdout of code in a fresh interpreter under -S, which keeps site's
+    own imports out, with the package from src/."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return proc.stdout
 
 
 def test_public_names_are_unique_and_resolve():
@@ -28,14 +44,48 @@ def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
         "'xxrx._backend') "
         "if m in sys.modules])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c", code],
-        env=dict(os.environ, PYTHONPATH=str(SRC)),
-        capture_output=True,
-        text=True,
-        check=True,
-        timeout=60,
-    )
-    path, loaded = proc.stdout.split("\n")[:2]
+    path, loaded = run_bare(code).split("\n")[:2]
     assert Path(path).resolve().is_relative_to(SRC)
     assert loaded == ""
+
+
+def test_cli_loads_only_the_modules_a_command_calls():
+    # the package binds only __version__ at import, and each subcommand
+    # imports what it calls when it runs: check needs words, whose kernel
+    # module _scan_py takes the valley test from sequences
+    show = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'xxrx'))"
+    out = run_bare(f"import sys, xxrx.cli; {show}; xxrx.cli.main(['check', '000']); {show}")
+    at_import, _, after_check = out.split("\n")[:3]
+    assert at_import == "xxrx xxrx.cli"
+    assert after_check == "xxrx xxrx._scan_py xxrx.cli xxrx.sequences xxrx.words"
+
+
+def test_all_lists_the_modules_names_in_order():
+    assert xxrx.__all__ == [
+        "BACKEND",
+        *bruteforce.__all__,
+        *counting.__all__,
+        *factorization.__all__,
+        *intersect.__all__,
+        *oeis.__all__,
+        *sequences.__all__,
+        *words.__all__,
+        "__version__",
+    ]
+    # the first name asked of a fresh package loads the submodules too,
+    # and dir() lists the public names
+    assert run_bare("import xxrx; print(xxrx.words.__name__)") == "xxrx.words\n"
+    assert run_bare("import xxrx; print('profile' in dir(xxrx))") == "True\n"
+
+
+def test_readme_examples_run_on_a_fresh_package():
+    # in a fresh interpreter, so the examples reach every name through
+    # the package's first load
+    code = (
+        "import doctest; "
+        f"r = doctest.testfile({str(README)!r}, module_relative=False); "
+        "print(r.attempted, r.failed)"
+    )
+    examples = README.read_text(encoding="utf-8").count("\n>>> ")
+    assert examples >= 8
+    assert run_bare(code) == f"{examples} 0\n"
