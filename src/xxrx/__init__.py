@@ -1,8 +1,8 @@
 """Binary words avoiding x x^R x: recognition, factorization, enumeration.
 
 The package provides the direct pattern scan, the block-profile
-factorization with its linear-time recognizer, classification of
-valley-free sequences and their partition-pair encoding, exact and
+factorization with its linear-time recognizer, the valley test for
+positive sequences and their partition-pair encoding, exact and
 asymptotic count tables, brute-force oracles, and the quadruple-family
 predicate, plus a CLI (``xxrx``) wiring it all together.
 

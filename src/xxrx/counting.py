@@ -47,7 +47,6 @@ __all__ = [
     "count_c",
     "count_v",
     "gf_u_tilde",
-    "type2_counts",
     "verify_bounds",
 ]
 
@@ -112,17 +111,6 @@ def gf_u_tilde(limit: int) -> list[int]:
         raise ValueError("limit must be nonnegative")
     # n is triangular exactly when 8n + 1 is a square
     return _over_euler([int(math.isqrt(8 * n + 1) ** 2 == 8 * n + 1) for n in range(limit + 1)])
-
-
-def type2_counts(limit: int) -> list[int]:
-    """Coefficients 0..limit counting equal-peak valley-free sequences.
-
-    A weight-n sequence whose two maxima equal p is a pair of strictly
-    increasing runs below p on either side, giving the series sum over
-    p >= 1 of q^(2p) times the product of (1 + q^j)^2 for j < p.
-    """
-    u, strict = _series(limit)
-    return [0] + [un - 2 * sn for un, sn in zip(u[1:], strict[1:])]
 
 
 def count_v(limit: int) -> list[int]:

@@ -16,7 +16,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from ._scan_py import is_member, profile_of
-from .sequences import _echo, _entries, parse_sequence
+from .sequences import _echo, _entries
 from .words import check_word
 
 __all__ = [
@@ -26,10 +26,8 @@ __all__ = [
     "ProfileError",
     "factorize",
     "is_in_l_linear",
-    "parse_profile",
     "profile",
     "reconstruct",
-    "validate_profile",
 ]
 
 
@@ -55,7 +53,8 @@ def profile(w: str) -> tuple[int, ...]:
 
 
 class Factorization(namedtuple("Factorization", "start_letter profile")):
-    """Start letter plus profile; together they determine the word.
+    """Start letter plus profile; together they determine the word, which
+    ``reconstruct(start_letter, profile)`` gives back.
 
     After each doubled letter the continuation is forced (it must
     alternate, or a triple appears), so no block content is stored.
@@ -66,13 +65,6 @@ class Factorization(namedtuple("Factorization", "start_letter profile")):
     start_letter: str | None
     profile: tuple[int, ...]
 
-    def to_word(self) -> str:
-        if self.start_letter is None:
-            if self.profile:
-                raise ProfileError("nonempty profile needs a start letter")
-            return ""
-        return reconstruct(self.start_letter, self.profile)
-
 
 def factorize(w: str) -> Factorization:
     """Split w at its doubled letters; inverse of reconstruct."""
@@ -80,7 +72,7 @@ def factorize(w: str) -> Factorization:
     return Factorization(w[0] if w else None, p)
 
 
-def validate_profile(entries: Iterable[int]) -> tuple[int, ...]:
+def _validate_profile(entries: Iterable[int]) -> tuple[int, ...]:
     """Return the profile as a tuple; reject shapes no word realizes.
 
     Every entry must be positive and interior entries at least 2 (an
@@ -110,7 +102,7 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
     at the junction.
     """
     _check_start_letter(start_letter)
-    p = validate_profile(entries)
+    p = _validate_profile(entries)
     weight = sum(p)
     if weight > MAX_RECONSTRUCT_LEN:
         raise ProfileError(f"profile weight {weight} exceeds {MAX_RECONSTRUCT_LEN} letters")
@@ -134,8 +126,3 @@ def is_in_l_linear(w: str) -> bool:
     Agrees with the direct instance scan.
     """
     return is_member(check_word(w).encode("ascii"))
-
-
-def parse_profile(text: str) -> tuple[int, ...]:
-    """Parse "(4,4,4)" back into a tuple; validates the profile shape."""
-    return validate_profile(parse_sequence(text))

@@ -22,7 +22,6 @@ __all__ = [
     "SequenceMismatch",
     "compare_values",
     "format_bfile",
-    "parse_bfile",
     "read_bfile",
 ]
 
@@ -48,11 +47,8 @@ class BFile(namedtuple("BFile", "entries sequence_id", defaults=(None,))):
     entries: tuple[tuple[int, int], ...]
     sequence_id: str | None
 
-    def max_index(self) -> int | None:
-        return self.entries[-1][0] if self.entries else None
 
-
-def parse_bfile(text: str, sequence_id: str | None = None) -> BFile:
+def _parse_bfile(text: str, sequence_id: str | None = None) -> BFile:
     """Parse b-file text; a BFileParseError quotes at most the first 60
     characters of the line or of each index at fault."""
     entries = []
@@ -93,7 +89,7 @@ def read_bfile(path: str | Path) -> BFile:
         data = f.read(MAX_BFILE_BYTES + 1)
     if len(data) > MAX_BFILE_BYTES:
         raise ValueError(f"file is larger than {MAX_BFILE_BYTES} bytes")
-    return parse_bfile(data.decode("utf-8"), sid)
+    return _parse_bfile(data.decode("utf-8"), sid)
 
 
 def format_bfile(values: Sequence[int], start: int = 0) -> str:

@@ -1,16 +1,17 @@
 """Valley-free positive sequences and their partition-pair encoding.
 
 A sequence (d_1,...,d_m) of positive integers is valley-free when no
-interior index j has d_{j-1} >= d_j <= d_{j+1}.  Such sequences rise
-strictly to a peak and then fall strictly; the peak is either a single
-strict maximum or one pair of equal adjacent maxima.  Splitting at the
-peak writes the sequence as an increasing run followed by a reversed
-increasing run, i.e. a pair of partitions into distinct parts.
+interior index j has d_{j-1} >= d_j <= d_{j+1}; ``in_x`` tests exactly
+this.  Such sequences rise strictly to a peak and then fall strictly;
+the peak is either a single strict maximum or one pair of equal
+adjacent maxima.  Splitting at the peak writes the sequence as an
+increasing run followed by a reversed increasing run, i.e. a pair of
+partitions into distinct parts; a pair maps back to its sequence as
+``pair.lam + pair.mu[::-1]``.
 """
 
 from __future__ import annotations
 
-import enum
 import sys
 from collections import namedtuple
 from collections.abc import Iterable, Sequence
@@ -18,13 +19,8 @@ from collections.abc import Iterable, Sequence
 __all__ = [
     "NotInXError",
     "PartitionPair",
-    "SequenceClass",
-    "SequenceKind",
-    "classify",
-    "format_pair",
     "format_sequence",
     "in_x",
-    "pair_to_sequence",
     "parse_sequence",
     "sequence_to_pairs",
 ]
@@ -32,25 +28,6 @@ __all__ = [
 
 class NotInXError(ValueError):
     """Raised when an operation requires a valley-free sequence."""
-
-
-class SequenceKind(enum.Enum):
-    TYPE1 = "type1"          # strict peak: rises strictly, falls strictly
-    TYPE2 = "type2"          # two equal adjacent maxima, strict elsewhere
-    NOT_IN_X = "not-in-x"    # has a valley
-
-
-class SequenceClass(namedtuple("SequenceClass", "kind witness")):
-    """Classification verdict with a checkable witness index.
-
-    For TYPE1 and TYPE2 the witness is the 1-based peak index (for TYPE2
-    the second of the equal pair; 0 for the empty sequence).  For
-    NOT_IN_X it is the smallest 1-based valley index.
-    """
-
-    __slots__ = ()
-    kind: SequenceKind
-    witness: int
 
 
 def _entries(seq: Iterable[int]) -> tuple[int, ...]:
@@ -73,29 +50,10 @@ def _first_valley(s: Sequence[int]) -> int:
     return 0
 
 
-def classify(seq: Iterable[int]) -> SequenceClass:
-    """Classify a positive sequence as TYPE1, TYPE2, or NOT_IN_X.
-
-    Empty and single-entry sequences are TYPE1 by convention (witness 0
-    and 1 respectively); they are vacuously peak-shaped.
-    """
-    s = _entries(seq)
-    m = len(s)
-    valley = _first_valley(s)
-    if valley:
-        return SequenceClass(SequenceKind.NOT_IN_X, valley)
-    # valley-free: at most one equal adjacent pair, and it sits at the peak
-    for j in range(m - 1):
-        if s[j] == s[j + 1]:
-            return SequenceClass(SequenceKind.TYPE2, j + 2)
-    if m == 0:
-        return SequenceClass(SequenceKind.TYPE1, 0)
-    return SequenceClass(SequenceKind.TYPE1, s.index(max(s)) + 1)
-
-
 def in_x(seq: Iterable[int]) -> bool:
-    """True iff the sequence is valley-free (TYPE1 or TYPE2): classify's
-    verdict from its valley test alone, with no peak witness."""
+    """True iff the sequence is valley-free: no interior entry is at most
+    both of its neighbours.  Empty and single-entry sequences are
+    valley-free; entries must be positive integers."""
     return not _first_valley(_entries(seq))
 
 
@@ -125,15 +83,6 @@ class PartitionPair(namedtuple("PartitionPair", "lam mu")):
     def _make(cls, iterable: Iterable) -> PartitionPair:
         # namedtuple's _make, and _replace through it, would skip __new__
         return cls(*iterable)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.lam) + sum(self.mu)
-
-
-def pair_to_sequence(pair: PartitionPair) -> tuple[int, ...]:
-    """Concatenate lam ascending with mu descending; always valley-free."""
-    return pair.lam + pair.mu[::-1]
 
 
 def sequence_to_pairs(seq: Iterable[int]) -> set[PartitionPair]:
@@ -204,8 +153,3 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         except ValueError:
             raise ValueError(f"{_int_fault(part, 'entry')} in sequence {_echo(text)}") from None
     return tuple(out)
-
-
-def format_pair(pair: PartitionPair) -> str:
-    """Render a pair as "λ=(1,3);μ=(2)"."""
-    return f"λ={format_sequence(pair.lam)};μ={format_sequence(pair.mu)}"

@@ -19,12 +19,8 @@ __all__ = [
     "PatternInstance",
     "avoids_xxrx_naive",
     "check_word",
-    "complement",
     "find_xxrx_instance",
-    "reverse",
 ]
-
-_COMPLEMENT = str.maketrans("01", "10")
 
 
 def check_word(w: str) -> str:
@@ -42,16 +38,6 @@ class PatternInstance(namedtuple("PatternInstance", "start block_len")):
     __slots__ = ()
     start: int
     block_len: int
-
-
-def complement(w: str) -> str:
-    """Symbolwise 0/1 flip (an involution)."""
-    return check_word(w).translate(_COMPLEMENT)
-
-
-def reverse(w: str) -> str:
-    """Mirror image of the word (an involution)."""
-    return check_word(w)[::-1]
 
 
 def find_xxrx_instance(w: str) -> PatternInstance | None:

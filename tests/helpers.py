@@ -41,6 +41,22 @@ def ref_profile(w: str) -> tuple[int, ...]:
     return tuple(lengths)
 
 
+def complement(w: str) -> str:
+    """Symbolwise 0/1 flip."""
+    return "".join("1" if ch == "0" else "0" for ch in w)
+
+
+def reverse(w: str) -> str:
+    """Mirror image of the word."""
+    return "".join(reversed(w))
+
+
+def has_equal_peak(s: tuple[int, ...]) -> bool:
+    """True iff two adjacent entries both equal the maximum."""
+    top = max(s, default=0)
+    return any(a == b == top for a, b in zip(s, s[1:]))
+
+
 def strictly_increasing(seq) -> bool:
     return all(a < b for a, b in zip(seq, seq[1:]))
 

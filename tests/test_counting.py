@@ -5,19 +5,17 @@ import pytest
 from helpers import (
     count_partition_pairs,
     gf_u_reversed_order,
+    has_equal_peak,
     ref_series,
     strongly_unimodal_sweep,
 )
 from xxrx import (
     CountTable,
-    SequenceKind,
     asymptotic_u_tilde,
-    classify,
     count_c,
     count_v,
     gf_u_tilde,
     iter_x_sequences,
-    type2_counts,
     verify_bounds,
 )
 from xxrx.counting import MAX_TABLE_LIMIT
@@ -56,7 +54,7 @@ def test_negative_limits_rejected():
     with pytest.raises(ValueError):
         gf_u_tilde(-1)
     with pytest.raises(ValueError):
-        type2_counts(-1)
+        CountTable.build(-1)
 
 
 def test_series_matches_direct_pair_count():
@@ -76,8 +74,10 @@ def test_packed_series_match_the_sweep(limits):
     # so an off-by-one in any cut-off shows at some limit here
     for limit in limits:
         u, t2 = ref_series(limit)
-        assert gf_u_tilde(limit) == u
-        assert type2_counts(limit) == t2
+        table = CountTable.build(limit)
+        assert list(table.u_tilde) == u
+        # the equal-peak count t2 = 2 v - u_tilde, for n >= 1
+        assert [2 * v - u for u, v in zip(table.u_tilde[1:], table.v[1:])] == t2[1:]
 
 
 def test_identity_2_from_its_definition():
@@ -110,12 +110,11 @@ def test_table_at_the_cap():
 
 
 def test_type2_counts_match_classification():
-    t2 = type2_counts(14)
-    for n in range(15):
-        direct = sum(
-            1 for s in iter_x_sequences(n) if classify(s).kind is SequenceKind.TYPE2
-        )
-        assert t2[n] == direct
+    # the equal-peak sequences listed one by one, against 2 v - u_tilde
+    table = CountTable.build(14)
+    for n in range(1, 15):
+        direct = sum(1 for s in iter_x_sequences(n) if has_equal_peak(s))
+        assert 2 * table.v[n] - table.u_tilde[n] == direct
 
 
 def test_count_table_columns_and_csv():

@@ -4,20 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import all_words, ref_profile, valid_profiles
+from helpers import all_words, complement, ref_profile, valid_profiles
 from xxrx import (
     FactorDomainError,
     Factorization,
     ProfileError,
     avoids_xxrx_naive,
-    complement,
     factorize,
     format_sequence,
     is_in_l_linear,
-    parse_profile,
+    parse_sequence,
     profile,
     reconstruct,
-    validate_profile,
 )
 from xxrx.factorization import MAX_RECONSTRUCT_LEN
 
@@ -65,9 +63,9 @@ def test_reconstruct_rejects_bad_profiles():
 
 
 def test_validate_profile_passes_end_entries_of_one():
-    assert validate_profile((1, 2, 1)) == (1, 2, 1)
-    assert validate_profile(()) == ()
-    assert validate_profile((1,)) == (1,)
+    assert reconstruct("0", (1, 2, 1)) == "0011"
+    assert reconstruct("0", [1]) == "0"
+    assert reconstruct("1", iter((2, 1))) == "100"
 
 
 # weight 1980, valley-free (equal peak), and the same with one valley
@@ -88,10 +86,8 @@ def test_is_in_l_linear_examples():
 
 def test_factorization_to_word_round_trip():
     f = factorize("001011")
-    assert f.to_word() == "001011"
-    assert Factorization(None, ()).to_word() == ""
-    with pytest.raises(ProfileError):
-        Factorization(None, (3,)).to_word()
+    assert reconstruct(f.start_letter, f.profile) == "001011"
+    assert factorize("") == Factorization(None, ())
 
 
 def test_profile_matches_reference_and_weight_identity():
@@ -154,20 +150,21 @@ def test_random_profile_round_trip(p, start):
 def test_format_parse_profile():
     assert format_sequence((4, 4, 4)) == "(4,4,4)"
     assert format_sequence(()) == "()"
-    assert parse_profile("(4,4,4)") == (4, 4, 4)
-    assert parse_profile("()") == ()
-    assert parse_profile(" ( 1 , 2 ) ") == (1, 2)
+    # a profile read from text goes through parse_sequence, then reconstruct
+    assert reconstruct("0", parse_sequence("(4,4,4)")) == "010110100101"
+    assert reconstruct("0", parse_sequence("()")) == ""
+    assert reconstruct("1", parse_sequence(" ( 1 , 2 ) ")) == "110"
     with pytest.raises(ProfileError):
-        parse_profile("(1,1,1)")
+        reconstruct("0", parse_sequence("(1,1,1)"))
     with pytest.raises(ValueError):
-        parse_profile("4,4,4")
+        parse_sequence("4,4,4")
     with pytest.raises(ValueError):
-        parse_profile("(4,x)")
+        parse_sequence("(4,x)")
 
 
-@given(profile_entries)
-def test_profile_serialization_round_trip(p):
-    assert parse_profile(format_sequence(p)) == p
+@given(profile_entries, st.sampled_from("01"))
+def test_profile_serialization_round_trip(p, start):
+    assert profile(reconstruct(start, parse_sequence(format_sequence(p)))) == p
 
 
 # random long members of L, as the benchmark workloads build them: a

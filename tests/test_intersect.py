@@ -4,16 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from helpers import complement, reverse
 from xxrx import (
     IntersectionReport,
     QuadCase,
     QuadExponents,
     avoids_xxrx_naive,
     build_quad_word,
-    complement,
     profile,
     quad_predicate,
-    reverse,
     verify_intersection_claim,
 )
 from xxrx import intersect

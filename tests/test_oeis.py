@@ -11,70 +11,68 @@ from xxrx import (
     compare_values,
     count_c,
     format_bfile,
-    parse_bfile,
     read_bfile,
 )
+from xxrx.oeis import _parse_bfile
 
 
 def test_parse_simple():
-    bf = parse_bfile("0 1\n1 2\n2 4\n")
+    bf = _parse_bfile("0 1\n1 2\n2 4\n")
     assert bf.entries == ((0, 1), (1, 2), (2, 4))
     assert bf.sequence_id is None
-    assert bf.max_index() == 2
 
 
 def test_parse_tolerates_comments_and_blank_lines():
     text = "# header comment\n\n0 1\n# middle\n1 2\n\n"
-    assert parse_bfile(text).entries == ((0, 1), (1, 2))
+    assert _parse_bfile(text).entries == ((0, 1), (1, 2))
 
 
 def test_parse_empty_is_valid():
-    bf = parse_bfile("")
+    bf = _parse_bfile("")
     assert bf.entries == ()
-    assert bf.max_index() is None
 
 
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(BFileParseError) as info:
-        parse_bfile("0 1\nbogus line here\n")
+        _parse_bfile("0 1\nbogus line here\n")
     assert info.value.lineno == 2
     assert "line 2" in str(info.value)
 
     with pytest.raises(BFileParseError) as info:
-        parse_bfile("0 1\n1 x\n")
+        _parse_bfile("0 1\n1 x\n")
     assert info.value.lineno == 2
 
     with pytest.raises(BFileParseError) as info:
-        parse_bfile("0 1\n5 2\n3 9\n")
+        _parse_bfile("0 1\n5 2\n3 9\n")
     assert info.value.lineno == 3
 
 
 def test_parse_errors_clip_the_line_and_name_long_integers():
     for text in ("x" * 200_000, "0 1 " * 50_000, "0 " + "x" * 200_000):
         with pytest.raises(BFileParseError) as info:
-            parse_bfile(text)
+            _parse_bfile(text)
         assert len(str(info.value)) < 120
     limit = sys.get_int_max_str_digits()
     for line in ("0 " + "7" * 5000, "-" + "7" * 5000 + " 1"):
         with pytest.raises(BFileParseError) as info:
-            parse_bfile("0 1\n" + line)
+            _parse_bfile("0 1\n" + line)
         assert str(info.value).startswith(f"line 2: field too long (5000 digits, limit {limit}) in '")
     with pytest.raises(BFileParseError, match="^line 1: non-integer field in '0 x'$"):
-        parse_bfile("0 x")
+        _parse_bfile("0 x")
 
 
 def test_out_of_order_indices_are_quoted_clipped():
     with pytest.raises(BFileParseError) as info:
-        parse_bfile("9" * 4000 + " 1\n1 1\n")
+        _parse_bfile("9" * 4000 + " 1\n1 1\n")
     assert info.value.lineno == 2
     assert len(str(info.value)) < 160
     assert str(info.value).startswith("line 2: indices must be strictly increasing, '1' after '999")
     with pytest.raises(BFileParseError, match="^line 3: indices must be strictly increasing, '5' after '05'$"):
-        parse_bfile("0 1\n05 2\n5 9\n")
+        _parse_bfile("0 1\n05 2\n5 9\n")
 
 
 def test_negative_values_parse():
-    assert parse_bfile("0 -5\n1 7\n").entries == ((0, -5), (1, 7))
+    assert _parse_bfile("0 -5\n1 7\n").entries == ((0, -5), (1, 7))
 
 
 def test_read_infers_id_from_filename(tmp_path):
@@ -94,7 +92,7 @@ def test_format_bfile():
 
 def test_format_parse_round_trip():
     values = count_c(12)
-    bf = parse_bfile(format_bfile(values))
+    bf = _parse_bfile(format_bfile(values))
     assert [v for _, v in bf.entries] == values
     assert [n for n, _ in bf.entries] == list(range(13))
 

@@ -1,3 +1,5 @@
+import importlib
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,69 @@ from xxrx import bruteforce, counting, factorization, intersect, oeis, sequences
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
+BENCHMARK = SRC.parent / "BENCHMARK.json"
+
+PUBLIC_NAMES = [
+    "AsymptoticEstimate",
+    "BACKEND",
+    "BFile",
+    "BFileParseError",
+    "CountTable",
+    "CrossCheckReport",
+    "Discrepancy",
+    "FactorDomainError",
+    "Factorization",
+    "IntersectionReport",
+    "KNOWN_SEQUENCE_IDS",
+    "MAX_BFILE_BYTES",
+    "MAX_BRUTE_SEQ_WEIGHT",
+    "MAX_BRUTE_WORD_LEN",
+    "MAX_RECONSTRUCT_LEN",
+    "MAX_TABLE_LIMIT",
+    "NotInXError",
+    "PartitionPair",
+    "PatternInstance",
+    "ProfileError",
+    "QuadCase",
+    "QuadExponents",
+    "SequenceMismatch",
+    "__version__",
+    "asymptotic_u_tilde",
+    "avoids_xxrx_naive",
+    "brute_count_words",
+    "brute_count_x",
+    "build_quad_word",
+    "check_word",
+    "compare_values",
+    "count_c",
+    "count_v",
+    "cross_check",
+    "factorize",
+    "find_xxrx_instance",
+    "format_bfile",
+    "format_sequence",
+    "gf_u_tilde",
+    "in_x",
+    "is_in_l_linear",
+    "iter_words_in_l",
+    "iter_x_sequences",
+    "parse_sequence",
+    "profile",
+    "quad_predicate",
+    "read_bfile",
+    "reconstruct",
+    "sequence_to_pairs",
+    "verify_bounds",
+    "verify_intersection_claim",
+]
+
+# per-layer rows of BENCHMARK.json whose subject the package no longer has
+GONE_BENCHMARK_SUBJECTS = {
+    "backend.count_members",
+    "cache.load_column",
+    "cache.store_column",
+    "counting.type2_counts",
+}
 
 
 def run_bare(code):
@@ -31,6 +96,44 @@ def test_public_names_are_unique_and_resolve():
     assert set(xxrx.__all__) <= namespace.keys()
     # the table cap and the reconstruct bound are public through the package too
     assert {"BACKEND", "MAX_RECONSTRUCT_LEN", "MAX_TABLE_LIMIT", "__version__"} <= namespace.keys()
+
+
+def test_public_surface_is_pinned():
+    # a name added to or dropped from the API shows here, in review
+    assert sorted(xxrx.__all__) == PUBLIC_NAMES
+
+
+def _traced_rows():
+    """(subject, module, dotted name) for each per-layer row of
+    BENCHMARK.json that counts the calls or the self time of a function
+    of a package module; the rows call ``_backend`` ``backend``."""
+    rows = json.loads(BENCHMARK.read_text(encoding="utf-8"))["per_layer"]
+    out = []
+    for row in rows:
+        subject, _, metric = row["name"].rpartition(".")
+        short, _, qualname = subject.partition(".")
+        module = "_backend" if short == "backend" else short
+        if metric in ("calls", "self_s") and (SRC / "xxrx" / f"{module}.py").exists():
+            out.append((subject, module, qualname))
+    return out
+
+
+def test_benchmark_rows_trace_public_functions():
+    # a row whose function was pruned would read 0 without failing
+    rows = _traced_rows()
+    subjects = {subject for subject, _, _ in rows}
+    assert GONE_BENCHMARK_SUBJECTS < subjects
+    for subject, module, qualname in rows:
+        mod = importlib.import_module(f"xxrx.{module}")
+        head, *rest = qualname.split(".")
+        if subject in GONE_BENCHMARK_SUBJECTS:
+            assert not hasattr(mod, head), subject
+            continue
+        assert head in mod.__all__, subject
+        obj = getattr(mod, head)
+        for attr in rest:
+            obj = getattr(obj, attr)
+        assert callable(obj), subject
 
 
 def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():

@@ -17,15 +17,12 @@ from xxrx import (
     PatternInstance,
     QuadCase,
     QuadExponents,
-    SequenceClass,
-    SequenceKind,
     SequenceMismatch,
 )
 
 EXAMPLES = [
     (PatternInstance, (0, 4)),
     (Factorization, ("0", (4, 4, 4))),
-    (SequenceClass, (SequenceKind.TYPE2, 3)),
     (PartitionPair, ((1,), (2, 3))),
     (CountTable, (2, (1, 2, 3), (1, 1, 2), (1, 2, 4))),
     (AsymptoticEstimate, (500, 1.5e20, 0.001)),

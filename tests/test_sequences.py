@@ -2,71 +2,46 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import compositions, distinct_partitions, ref_in_x_template
+from helpers import compositions, distinct_partitions, has_equal_peak, ref_in_x_template
 from xxrx import (
     NotInXError,
     PartitionPair,
-    SequenceClass,
-    SequenceKind,
-    classify,
-    format_pair,
     format_sequence,
     gf_u_tilde,
     in_x,
-    pair_to_sequence,
     parse_sequence,
     sequence_to_pairs,
 )
 
 
-def test_classify_examples():
-    assert classify((4, 4, 4)) == SequenceClass(SequenceKind.NOT_IN_X, 2)
-    assert classify((1, 2, 1)) == SequenceClass(SequenceKind.TYPE1, 2)
-    assert classify((2, 2)) == SequenceClass(SequenceKind.TYPE2, 2)
-    assert classify((1, 1, 2)) == SequenceClass(SequenceKind.NOT_IN_X, 2)
-    assert classify((5,)) == SequenceClass(SequenceKind.TYPE1, 1)
-    assert classify(()) == SequenceClass(SequenceKind.TYPE1, 0)
-
-
 def test_classify_rejects_nonpositive_entries():
     for bad in ((0,), (3, -1), (1, 0, 1)):
-        with pytest.raises(ValueError):
-            classify(bad)
         with pytest.raises(ValueError):
             in_x(bad)
 
 
 def test_in_x_examples():
     assert not in_x((4, 4, 4))
+    assert not in_x((1, 1, 2))
+    assert in_x((1, 2, 1))
     assert in_x((2, 2))
+    assert in_x((5,))
     assert in_x(())
-
-
-def test_in_x_is_classify_without_the_witness():
-    for n in range(15):
-        for s in compositions(n):
-            want = classify(s).kind is not SequenceKind.NOT_IN_X
-            assert in_x(s) is want
-            assert in_x(list(s)) is want
-            assert in_x(d for d in s) is want
 
 
 @pytest.mark.parametrize("bad", [(0,), (3, -1), (1, 0, 1), (2, 1.5), (1, "2", 1)])
 def test_in_x_rejects_entries_as_classify_does(bad):
-    with pytest.raises(ValueError) as want:
-        classify(bad)
+    # the message names the first bad entry, whatever iterable holds it,
+    # as every entry point that checks sequence entries words it
+    first = next(d for d in bad if not isinstance(d, int) or d < 1)
+    want = f"sequence entries must be positive integers, found {first!r}"
     for arg in (bad, list(bad), iter(bad)):
         with pytest.raises(ValueError) as got:
             in_x(arg)
-        assert str(got.value) == str(want.value)
-
-
-def test_pair_to_sequence_examples():
-    assert pair_to_sequence(PartitionPair((1, 3), (2,))) == (1, 3, 2)
-    assert pair_to_sequence(PartitionPair((), ())) == ()
-    seq = pair_to_sequence(PartitionPair((2,), (2,)))
-    assert seq == (2, 2)
-    assert classify(seq).kind is SequenceKind.TYPE2
+        assert str(got.value) == want
+    with pytest.raises(ValueError) as got:
+        sequence_to_pairs(bad)
+    assert str(got.value) == want
 
 
 def test_partition_pair_validation():
@@ -100,16 +75,19 @@ def test_pairs_reproduce_their_sequence():
             if not in_x(s):
                 continue
             pairs = sequence_to_pairs(s)
-            kind = classify(s).kind
-            assert len(pairs) == (1 if kind is SequenceKind.TYPE2 or not s else 2)
+            assert len(pairs) == (1 if has_equal_peak(s) or not s else 2)
             for p in pairs:
-                assert pair_to_sequence(p) == s
+                assert p.lam + p.mu[::-1] == s
 
 
 def test_valley_test_agrees_with_peak_templates():
-    for n in range(13):
+    # any iterable of entries gets the same verdict
+    for n in range(15):
         for s in compositions(n):
-            assert in_x(s) == ref_in_x_template(s)
+            want = ref_in_x_template(s)
+            assert in_x(s) is want
+            assert in_x(list(s)) is want
+            assert in_x(d for d in s) is want
 
 
 def test_no_interior_entry_one_in_x():
@@ -126,24 +104,6 @@ def test_double_counting_identity_matches_series():
         assert total == u[n]
 
 
-def test_classify_witness_revalidates():
-    for n in range(12):
-        for s in compositions(n):
-            verdict = classify(s)
-            j = verdict.witness
-            if verdict.kind is SequenceKind.NOT_IN_X:
-                assert 2 <= j <= len(s) - 1
-                assert s[j - 2] >= s[j - 1] <= s[j]
-            elif verdict.kind is SequenceKind.TYPE2:
-                assert 2 <= j <= len(s)
-                assert s[j - 2] == s[j - 1] == max(s)
-            elif s:
-                assert 1 <= j <= len(s)
-                assert s[j - 1] == max(s)
-            else:
-                assert j == 0
-
-
 pairs = st.builds(
     PartitionPair,
     st.sets(st.integers(min_value=1, max_value=15), max_size=5).map(sorted).map(tuple),
@@ -154,17 +114,22 @@ pairs = st.builds(
 @settings(max_examples=300)
 @given(pairs)
 def test_pair_to_sequence_lands_in_x(p):
-    s = pair_to_sequence(p)
+    # lam ascending, then mu descending: always valley-free, and one of
+    # the sequence's own encodings
+    s = p.lam + p.mu[::-1]
     assert in_x(s)
-    assert sum(s) == p.weight
     assert p in sequence_to_pairs(s)
 
 
 def test_format_sequence_and_pair():
     assert format_sequence((1, 3, 2)) == "(1,3,2)"
     assert format_sequence(()) == "()"
-    assert format_pair(PartitionPair((1, 3), (2,))) == "λ=(1,3);μ=(2)"
-    assert format_pair(PartitionPair((), ())) == "λ=();μ=()"
+    # a pair renders as its two parts, as README's API notes spell it
+    for pair, want in (
+        (PartitionPair((1, 3), (2,)), "λ=(1,3);μ=(2)"),
+        (PartitionPair((), ()), "λ=();μ=()"),
+    ):
+        assert f"λ={format_sequence(pair.lam)};μ={format_sequence(pair.mu)}" == want
 
 
 def test_parse_sequence():
