@@ -1,6 +1,6 @@
 """The package's scan kernels, in pure Python; ``BACKEND`` names them.
 
-Words arrive as ASCII bytes of b'0'/b'1' (callers validate the alphabet).
+Words arrive as ASCII bytes of b'0'/b'1' from ``words.check_word``.
 
 Every kernel rests on one pass that finds all doubled letters at once.
 The word is read as a big-endian integer x, one byte per letter, so

@@ -45,7 +45,7 @@ class ProfileError(ValueError):
 
 def profile(w: str) -> tuple[int, ...]:
     """Block-length profile of a triple-free word."""
-    b = check_word(w).encode("ascii")
+    b = check_word(w)
     try:
         return tuple(profile_of(b))
     except ValueError:
@@ -119,10 +119,10 @@ def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
 def is_in_l_linear(w: str) -> bool:
     """Linear-time test for avoidance of x x^R x.
 
-    Rejects a word with a 000 in a short prefix at once.
-    Otherwise splits the word into its blocks in one linear pass and
-    rejects on a valley of the block lengths; a triple letter anywhere
-    is a block of length 1 inside the word, so it is such a valley too.
-    Agrees with the direct instance scan.
+    Hands the bytes of ``check_word`` to ``_scan_py.is_member``: it
+    rejects a word with a 000 in a short prefix at once, else splits the
+    word into its blocks in one linear pass and rejects on a valley of
+    the block lengths.  A triple letter inside the word is a block of
+    length 1, so a valley too.  Agrees with the direct instance scan.
     """
-    return is_member(check_word(w).encode("ascii"))
+    return is_member(check_word(w))

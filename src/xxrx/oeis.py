@@ -92,9 +92,9 @@ def read_bfile(path: str | Path) -> BFile:
     return _parse_bfile(data.decode("utf-8"), sid)
 
 
-def format_bfile(values: Sequence[int], start: int = 0) -> str:
-    """Render consecutive values as b-file lines starting at index start."""
-    return "".join(f"{start + i} {v}\n" for i, v in enumerate(values))
+def format_bfile(values: Sequence[int]) -> str:
+    """Render consecutive values as b-file lines starting at index 0."""
+    return "".join(f"{i} {v}\n" for i, v in enumerate(values))
 
 
 class SequenceMismatch(namedtuple("SequenceMismatch", "index local reference")):

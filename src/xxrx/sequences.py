@@ -94,7 +94,7 @@ def sequence_to_pairs(seq: Iterable[int]) -> set[PartitionPair]:
     and one for the empty sequence.
     """
     s = _entries(seq)
-    if not in_x(s):
+    if _first_valley(s):
         raise NotInXError(f"sequence {s} has a valley; no pair encoding exists")
     out = set()
     for cut in range(len(s) + 1):
@@ -109,11 +109,10 @@ def format_sequence(seq: Iterable[int]) -> str:
     return "(" + ",".join(str(d) for d in seq) + ")"
 
 
-def _echo(text: object, limit: int = 60) -> str:
-    """repr of text for an error message; a string is cut to limit
-    characters."""
-    if isinstance(text, str) and len(text) > limit:
-        return f"{text[:limit]!r}…"
+def _echo(text: object) -> str:
+    """repr of text for an error message; a string is cut to 60 characters."""
+    if isinstance(text, str) and len(text) > 60:
+        return f"{text[:60]!r}…"
     return repr(text)
 
 

@@ -1,12 +1,12 @@
 """Binary words and definition-level pattern-instance search.
 
-Words are plain strings over {'0', '1'}; the empty string is the empty
-word.  The instance finder returns the instance with minimal block
-length, ties broken by minimal start.  It tests the definition only
-where a shortest instance can sit, at the two ends of each interior
-block, as ``_scan_py._is_instance`` sets out.  This scan is the
-reference that the linear recognizer in ``factorization`` is checked
-against.
+Words are plain strings over {'0', '1'}, the empty string the empty
+word.  ``check_word`` validates a word and returns the ASCII bytes the
+kernels read; no other module encodes a word.  The instance finder
+returns the instance with minimal block length, then minimal start.
+It tests the definition only at the two ends of each interior block,
+where ``_scan_py._is_instance`` shows a shortest instance sits.  It is
+the reference the linear recognizer in ``factorization`` is checked against.
 """
 
 from __future__ import annotations
@@ -23,13 +23,14 @@ __all__ = [
 ]
 
 
-def check_word(w: str) -> str:
-    """Return w unchanged; raise ValueError on symbols outside {'0','1'}."""
+def check_word(w: str) -> bytes:
+    """The ASCII bytes of w; raise ValueError on symbols outside {'0','1'}."""
     # every non-ASCII character encodes as '?', so anything left is a bad symbol
-    if w.encode("ascii", "replace").translate(None, b"01"):
+    b = w.encode("ascii", "replace")
+    if b.translate(None, b"01"):
         bad = next(ch for ch in w if ch not in "01")
         raise ValueError(f"word symbols must be '0' or '1', found {bad!r}")
-    return w
+    return b
 
 
 class PatternInstance(namedtuple("PatternInstance", "start block_len")):
@@ -44,7 +45,7 @@ def find_xxrx_instance(w: str) -> PatternInstance | None:
     """Earliest instance of x x^R x: a block, its mirror image, the block
     again.  Minimal block length wins, then minimal start; None if the
     word avoids the pattern."""
-    hit = scan_xxrx(check_word(w).encode("ascii"))
+    hit = scan_xxrx(check_word(w))
     return None if hit is None else PatternInstance(*hit)
 
 

@@ -42,6 +42,15 @@ def test_factorize_rejects_tripled_letters():
             profile(w)
 
 
+def test_profile_rejects_a_bad_symbol_before_the_domain_check():
+    # a bad symbol is a plain ValueError (CLI exit 2), not a domain
+    # rejection (exit 1), even in a word whose triple would be one
+    for w in ("0x0", "0002"):
+        with pytest.raises(ValueError) as info:
+            profile(w)
+        assert not isinstance(info.value, FactorDomainError)
+
+
 def test_reconstruct_examples():
     assert reconstruct("0", (4, 4, 4)) == "010110100101"
     assert reconstruct("1", (1, 1)) == "11"

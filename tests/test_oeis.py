@@ -86,7 +86,6 @@ def test_read_infers_id_from_filename(tmp_path):
 
 def test_format_bfile():
     assert format_bfile([1, 2, 4]) == "0 1\n1 2\n2 4\n"
-    assert format_bfile([5, 6], start=3) == "3 5\n4 6\n"
     assert format_bfile([]) == ""
 
 

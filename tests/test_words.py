@@ -7,16 +7,55 @@ from xxrx import (
     PatternInstance,
     avoids_xxrx_naive,
     check_word,
+    factorization,
     find_xxrx_instance,
+    is_in_l_linear,
+    profile,
     reconstruct,
 )
+from xxrx import words as words_module
 
 words = st.text(alphabet="01", max_size=60)
 
 
 def test_check_word_accepts_binary():
-    assert check_word("0101") == "0101"
-    assert check_word("") == ""
+    # the ASCII bytes that every kernel reads
+    member = reconstruct("0", (*range(1, 447), 319))
+    assert len(member) == 10**5 and is_in_l_linear(member)
+    for w in ("", "0101", member):
+        assert check_word(w) == w.encode("ascii")
+    assert check_word("0101") == b"0101"
+
+
+def test_each_wrapper_hands_its_kernel_the_bytes_of_check_word(monkeypatch):
+    # a word is encoded once, in check_word, and the kernel reads that object
+    made, read = [], []
+
+    def check(w):
+        made.append(check_word(w))
+        return made[-1]
+
+    def spy(kernel):
+        def run(b):
+            read.append(b)
+            return kernel(b)
+        return run
+
+    monkeypatch.setattr(words_module, "check_word", check)
+    monkeypatch.setattr(factorization, "check_word", check)
+    monkeypatch.setattr(words_module, "scan_xxrx", spy(words_module.scan_xxrx))
+    monkeypatch.setattr(factorization, "is_member", spy(factorization.is_member))
+    monkeypatch.setattr(factorization, "profile_of", spy(factorization.profile_of))
+    for wrapper, want in (
+        (find_xxrx_instance, PatternInstance(0, 2)),
+        (is_in_l_linear, False),
+        (profile, (2, 2, 2)),
+    ):
+        made.clear()
+        read.clear()
+        assert wrapper("011001") == want
+        assert len(made) == 1 and len(read) == 1
+        assert read[0] is made[0]
 
 
 def test_check_word_rejects_other_symbols():
