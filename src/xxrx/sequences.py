@@ -141,10 +141,11 @@ def parse_sequence(text: str) -> tuple[int, ...]:
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"expected a parenthesized sequence, got {_echo(text)}")
     inner = s[1:-1].strip()
-    if inner.endswith(","):
-        inner = inner[:-1]
+    # tested before the trailing comma goes, so "(,)" has one empty entry
     if not inner:
         return ()
+    if inner.endswith(","):
+        inner = inner[:-1]
     out = []
     for part in inner.split(","):
         try:

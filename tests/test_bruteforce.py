@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from helpers import compositions, ref_in_x_template
@@ -158,4 +160,7 @@ def test_every_sequence_node_is_rechecked_with_in_x(monkeypatch):
 
 
 def test_cross_check_at_both_caps():
+    # one walk per side, inside a 30 s budget
+    start = time.perf_counter()
     assert cross_check(MAX_BRUTE_WORD_LEN, MAX_BRUTE_SEQ_WEIGHT).ok
+    assert time.perf_counter() - start < 30

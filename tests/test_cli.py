@@ -2,6 +2,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import xxrx
 from xxrx import CountTable, count_c, factorization, find_xxrx_instance, format_bfile, oeis, words
 from xxrx.cli import main
 from xxrx.counting import MAX_TABLE_LIMIT
+from xxrx.intersect import MAX_QUAD_EXPONENT
 
 U_ROW = [1, 2, 3, 6, 9, 14, 22, 32, 46, 66, 93, 128, 176]
 C_ROW = [1, 2, 4, 6, 10, 16, 24, 34, 50, 72, 100, 138, 188]
@@ -261,6 +263,17 @@ def test_cfl_verify(capsys):
     code, out, _ = run(capsys, "cfl-verify", "--max-exp", "3")
     assert code == 0
     assert "agree everywhere" in out
+    # the scan at its exponent cap, on 10^4 words, inside a 20 s budget
+    outs = {}
+    for fmt in ("text", "csv"):
+        start = time.perf_counter()
+        code, outs[fmt], err = run(
+            capsys, "cfl-verify", "--max-exp", str(MAX_QUAD_EXPONENT), "--format", fmt
+        )
+        assert time.perf_counter() - start < 20
+        assert code == 0 and err == ""
+    assert "agree everywhere" in outs["text"]
+    assert outs["csv"] == "i,j,k,l,in_L,predicate\n"
 
 
 def test_cfl_verify_guard(capsys):
@@ -396,6 +409,12 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
             2,
             f"start letter must be '0' or '1', not '{'x' * 60}'…",
             id="invert-long-start-letter",
+        ),
+        pytest.param(
+            ["invert", "0", "(,)"],
+            2,
+            "non-integer entry in sequence '(,)'",
+            id="invert-comma-only-profile",
         ),
         pytest.param(
             ["oeis-compare", "{tmp}/bad.txt", "--limit", "-1"],

@@ -233,8 +233,9 @@ def test_scan_matches_the_reference_on_every_word_to_18():
             assert _scan_py.scan_xxrx(w.encode("ascii")) == ref_find_xxrx(w)
 
 
-# many blocks and no triple letter, so any instance is found by the
-# pair scan, here at t = 2
+# many blocks and no 000, so any instance is found by the pair scan: at
+# t = 2, or at t = 1 where a 111 is the interior block of length 1, as
+# at the start of the 100004-letter word
 @pytest.mark.parametrize(
     "w, want",
     [
@@ -243,6 +244,7 @@ def test_scan_matches_the_reference_on_every_word_to_18():
         ("0011" * 2 + "0", (1, 2)),
         ("0011" * 3 + "0", (1, 2)),
         ("0011" * 2000 + "0", (1, 2)),
+        pytest.param("1110" + "10" * 50000, (0, 1), id="1110-then-10x50000"),
     ],
 )
 def test_scan_on_many_blocks(w, want):

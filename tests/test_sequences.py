@@ -143,10 +143,16 @@ def test_parse_sequence():
     assert parse_sequence("(1,3,2)") == (1, 3, 2)
     assert parse_sequence("()") == ()
     assert parse_sequence("(5,)") == (5,)
+    assert parse_sequence("( )") == ()
     with pytest.raises(ValueError):
         parse_sequence("1,3,2")
     with pytest.raises(ValueError):
         parse_sequence("(1,a)")
+    # a comma with no entry before it is not a trailing comma
+    for text in ("(,)", "( , )"):
+        with pytest.raises(ValueError) as got:
+            parse_sequence(text)
+        assert str(got.value) == f"non-integer entry in sequence {text!r}"
 
 
 def test_distinct_partitions_helper_is_sane():
