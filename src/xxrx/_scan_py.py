@@ -16,7 +16,7 @@ that gives the profile also finds every triple letter, and
 ``profile_of`` runs no search of its own.  An empty interior piece is
 no longer than either neighbour, so it is a valley of the pieces'
 lengths, and ``is_member`` decides triples and valleys in one call of
-``sequences._first_valley``, the valley test that defines X.  It first
+``sequences._has_valley``, the valley test that defines X.  It first
 searches the first ``_PREFIX`` letters for 000, as an early exit for
 random words: the split decides every triple past them, so the bound
 changes only the cost, never an answer.
@@ -35,7 +35,7 @@ left to right, since a shortest instance has one block as its x^R.
 
 from __future__ import annotations
 
-from .sequences import _first_valley
+from .sequences import _has_valley
 
 # names the kernel module for reports and benchmark records
 BACKEND = "python"
@@ -60,8 +60,8 @@ def _split(w: bytes) -> list[bytes]:
 
 
 def _blocks(w: bytes) -> list[int]:
-    """Block lengths of a nonempty word; a triple letter shows as an
-    interior block of length 1."""
+    """Block lengths of a word; a triple letter shows as an interior
+    block of length 1.  The empty word gives [1]."""
     return [len(run) + 1 for run in _split(w)]
 
 
@@ -95,8 +95,6 @@ def _is_instance(w: bytes | str, s1: int, s2: int) -> bool:
 def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     """First (block length, then start) occurrence of x x^R x, or None."""
     n = len(w)
-    if n < 3:
-        return None
     # t = 1 is a triple letter.  As in is_member, a 000 is searched for
     # first, as an early exit; then only a 111 left of it can come first.
     # That search is not bounded at the 000: on a random word both stop
@@ -109,7 +107,8 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     # ends of an interior block (see _is_instance); left to right, a strictly
     # shorter hit replaces the best, so the first of the shortest is kept.
     # A 111 is an interior block of length 1, so the first t = 1 hit is
-    # the leftmost 111, and nothing shorter can follow it
+    # the leftmost 111, and nothing shorter can follow it.  A word of
+    # under 3 letters has no interior block
     blocks = _blocks(w)
     found = None
     best = n
@@ -147,4 +146,4 @@ def is_member(w: bytes) -> bool:
     # each run is its block less one letter, which moves no valley, and a
     # triple is an empty interior run, no longer than either neighbour: a
     # valley too.  So X's valley test decides both
-    return not _first_valley(list(map(len, _split(w))))
+    return not _has_valley(list(map(len, _split(w))))

@@ -38,23 +38,23 @@ def _entries(seq: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def _first_valley(s: Sequence[int]) -> int:
-    """Smallest 1-based valley index of s, or 0 if it has none.
+def _has_valley(s: Sequence[int]) -> bool:
+    """True iff some interior entry of s is at most both its neighbours.
 
     The entries may be any integers, zeros included: ``_scan_py.is_member``
     passes the run lengths of a word, in which a triple letter is a 0.
     """
     for j in range(1, len(s) - 1):
         if s[j - 1] >= s[j] <= s[j + 1]:
-            return j + 1
-    return 0
+            return True
+    return False
 
 
 def in_x(seq: Iterable[int]) -> bool:
     """True iff the sequence is valley-free: no interior entry is at most
     both of its neighbours.  Empty and single-entry sequences are
     valley-free; entries must be positive integers."""
-    return not _first_valley(_entries(seq))
+    return not _has_valley(_entries(seq))
 
 
 def _strictly_increasing(parts: Sequence[int]) -> bool:
@@ -94,7 +94,7 @@ def sequence_to_pairs(seq: Iterable[int]) -> set[PartitionPair]:
     and one for the empty sequence.
     """
     s = _entries(seq)
-    if _first_valley(s):
+    if _has_valley(s):
         raise NotInXError(f"sequence {s} has a valley; no pair encoding exists")
     out = set()
     for cut in range(len(s) + 1):

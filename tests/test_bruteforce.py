@@ -2,7 +2,7 @@ import time
 
 import pytest
 
-from helpers import compositions, ref_in_x_template
+from helpers import all_words, compositions, ref_in_x_template
 from xxrx import (
     MAX_BRUTE_SEQ_WEIGHT,
     MAX_BRUTE_WORD_LEN,
@@ -64,19 +64,13 @@ def test_iter_x_sequences_equals_unpruned_filter():
 
 def test_iter_words_in_l_matches_naive_filter():
     for n in range(15):
-        expected = [w for w in _all(n) if avoids_xxrx_naive(w)]
+        expected = [w for w in all_words(n) if avoids_xxrx_naive(w)]
         assert list(iter_words_in_l(n)) == expected
         zero = [w for w in expected if not w or w[0] == "0"]
         one = [w for w in expected if w and w[0] == "1"]
         assert list(iter_words_in_l(n, "0")) == zero
         got_one = list(iter_words_in_l(n, "1"))
         assert got_one == ([""] if n == 0 else one)
-
-
-def _all(n):
-    if n == 0:
-        return [""]
-    return [format(v, f"0{n}b") for v in range(1 << n)]
 
 
 def test_iterators_validate_arguments_at_the_call():
@@ -88,17 +82,10 @@ def test_iterators_validate_arguments_at_the_call():
     ):
         with pytest.raises(ValueError):
             call()
-
-
-def test_iter_words_in_l_validates_arguments():
-    with pytest.raises(ValueError):
-        list(iter_words_in_l(30))
-    with pytest.raises(ValueError):
-        list(iter_words_in_l(3, "2"))
     with pytest.raises(ValueError, match="not 5$"):
-        list(iter_words_in_l(3, 5))
+        iter_words_in_l(3, 5)
     with pytest.raises(ValueError) as info:
-        list(iter_words_in_l(3, "x" * 300))
+        iter_words_in_l(3, "x" * 300)
     assert str(info.value) == f"start letter must be '0' or '1', not '{'x' * 60}'…"
 
 
@@ -141,7 +128,7 @@ def _ends_in_instance_every_t(w):
 
 def test_doubled_centre_scan_agrees_with_every_t_scan():
     for n in range(15):
-        for w in _all(n):
+        for w in all_words(n):
             starts = tuple(k for k in range(1, n) if w[k - 1] == w[k])
             got = bruteforce._ends_in_instance(w, starts)
             assert got == _ends_in_instance_every_t(w), w
