@@ -126,6 +126,12 @@ def test_profile_is_complement_invariant():
         assert profile(w) == profile(complement(w))
 
 
+def test_linear_recognizer_agrees_with_scan_exhaustively():
+    for n in range(13):
+        for w in all_words(n):
+            assert is_in_l_linear(w) == avoids_xxrx_naive(w)
+
+
 @settings(max_examples=300)
 @given(st.text(alphabet="01", max_size=200))
 def test_linear_recognizer_agrees_with_scan_random(w):

@@ -111,6 +111,17 @@ def test_avoiders_contain_no_tripled_letter():
 
 
 @given(words)
+def test_witness_revalidates(w):
+    inst = find_xxrx_instance(w)
+    if inst is not None:
+        i, t = inst.start, inst.block_len
+        assert i >= 0 and t >= 1 and i + 3 * t <= len(w)
+        x = w[i : i + t]
+        assert w[i + t : i + 2 * t] == x[::-1]
+        assert w[i + 2 * t : i + 3 * t] == x
+
+
+@given(words)
 def test_avoidance_invariant_under_complement_and_reverse(w):
     verdict = avoids_xxrx_naive(w)
     assert avoids_xxrx_naive(complement(w)) == verdict
