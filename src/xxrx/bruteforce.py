@@ -3,16 +3,16 @@
 Everything here recounts from the definitions, with one depth-first
 walk per side.  The word side grows the words avoiding x x^R x letter
 by letter, testing each new letter with ``_scan_py._is_instance``;
-the sequence side grows valley-free sequences entry by entry and
-rechecks every one whole with ``sequences.in_x``.  Both sets are
-prefix-closed, so one walk to the cap reaches, in preorder, every
-member up to the cap.  The walk itself counts the members of every size
-and keeps those of the sizes asked for: the counts at every size, the
-listings of one size and the bijection check all read from it.  A
-member is counted where it is made, and the walk recurses only into one
-that may have a child.  Neither walk consults the series tables they
-are used to check, or any profile theory, which is what makes a match
-evidential.  Hard range guards keep runs at desk scale.
+the sequence side grows valley-free sequences entry by entry, trying
+only the entries that leave the newest interior entry no valley.  Both
+sets are prefix-closed, so one walk to the cap reaches, in preorder,
+every member up to the cap.  The walk itself counts the members of
+every size and keeps those of the sizes asked for: the counts at every
+size, the listings of one size and the bijection check all read from
+it.  A member is counted where it is made, and the walk recurses only
+into one that may have a child.  Neither walk consults the series
+tables they are used to check, or any profile theory, which is what
+makes a match evidential.  Hard range guards keep runs at desk scale.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from collections.abc import Iterable, Iterator
 from ._scan_py import _is_instance
 from .counting import CountTable
 from .factorization import _check_start_letter, profile
-from .sequences import in_x
 
 __all__ = [
     "CrossCheckReport",
@@ -111,12 +110,16 @@ def _walk_sequences(
     for each weight in keep its members in the order reached.
 
     A valley cannot be repaired by later entries, so the valley-free
-    sequences are prefix-closed.  A new entry d makes the last entry of s
-    a valley exactly when s[-2] >= s[-1] <= d, so after a step that does
-    not rise only entries below s[-1] are tried.  Entries are tried
-    smallest first, so the members of any one weight are reached in
-    lexicographic order.  Every node is rechecked whole with in_x; one
-    it rejects is neither counted nor extended.  A member is counted
+    sequences are prefix-closed.  A child s + (d,) of s has one new
+    interior entry, s[-1], and it is a valley exactly when
+    s[-2] >= s[-1] <= d.  So after a step that does not rise only
+    entries below s[-1] are tried: exactly the d for which that fails.
+    By induction from the empty sequence every node is valley-free, and
+    every valley-free sequence within the weight is reached, through its
+    prefixes; no node needs a second test.  This is the argument of
+    _walk_words, which tests only the instances ending at the new
+    letter.  Entries are tried smallest first, so the members of any one
+    weight are reached in lexicographic order.  A member is counted
     where it is made, and extended only if some entry may follow it.
     """
     counts = [1] + [0] * n
@@ -127,16 +130,15 @@ def _walk_sequences(
         last = s[-1] if s else 0
         for d in range(1, top + 1):
             child = s + (d,)
-            if in_x(child):
-                weight = k + d
-                counts[weight] += 1
-                if weight in kept:
-                    kept[weight].append(child)
-                room = n - weight
-                if last >= d:
-                    room = min(room, d - 1)
-                if room:
-                    extend(child, weight, room)
+            weight = k + d
+            counts[weight] += 1
+            if weight in kept:
+                kept[weight].append(child)
+            room = n - weight
+            if last >= d:
+                room = min(room, d - 1)
+            if room:
+                extend(child, weight, room)
 
     if n:
         extend((), 0, n)

@@ -50,5 +50,7 @@ def find_xxrx_instance(w: str) -> PatternInstance | None:
 
 
 def avoids_xxrx_naive(w: str) -> bool:
-    """True iff the word has no x x^R x instance, by direct scan."""
+    """True iff the word has no x x^R x instance: find_xxrx_instance(w)
+    is None, the block-end scan of ``_scan_py.scan_xxrx``.  The name is
+    older than that scan, and kept for its callers."""
     return find_xxrx_instance(w) is None

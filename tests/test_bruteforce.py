@@ -16,7 +16,7 @@ from xxrx import (
     iter_words_in_l,
     iter_x_sequences,
 )
-from xxrx import bruteforce, sequences
+from xxrx import bruteforce
 
 
 def test_brute_count_words_examples():
@@ -132,18 +132,6 @@ def test_doubled_centre_scan_agrees_with_every_t_scan():
             starts = tuple(k for k in range(1, n) if w[k - 1] == w[k])
             got = bruteforce._ends_in_instance(w, starts)
             assert got == _ends_in_instance_every_t(w), w
-
-
-def test_every_sequence_node_is_rechecked_with_in_x(monkeypatch):
-    def no_equal_pair(s):
-        s = tuple(s)
-        return sequences.in_x(s) and all(a != b for a, b in zip(s, s[1:]))
-
-    monkeypatch.setattr(bruteforce, "in_x", no_equal_pair)
-    report = cross_check(0, 8)
-    assert {d.side for d in report.discrepancies} == {"sequences"}
-    assert list(iter_x_sequences(4)) == [(1, 2, 1), (1, 3), (3, 1), (4,)]
-    assert brute_count_x(4) == 4
 
 
 def test_cross_check_at_both_caps():

@@ -163,13 +163,6 @@ def test_asymptotic_examples():
     assert est12.relative_error_vs_exact < 0.02
 
 
-def test_asymptotic_error_shrinks():
-    u = gf_u_tilde(500)
-    err50 = asymptotic_u_tilde(50, u[50]).relative_error_vs_exact
-    err500 = asymptotic_u_tilde(500, u[500]).relative_error_vs_exact
-    assert err500 < err50
-
-
 def test_asymptotic_beyond_float_range():
     # exp() alone overflows from n ~ 76600, the product from n ~ 78900
     for n in (60000, 77000):
