@@ -5,9 +5,9 @@ needs, when it runs, and prints its result through one renderer.  So
 ``import xxrx.cli`` loads no library module (``xxrx/__init__`` binds
 only ``__version__`` at import): ``check`` loads ``words`` and the
 kernels, ``asym`` loads ``counting``, and no command compiles the
-oracles or the b-file reader unless it calls them.  A process keeps
-nothing between calls: ``count`` and ``oeis-compare`` build the one
-CountTable they print, and ``asym`` the one u_tilde series it needs.
+oracles unless it calls them.  A process keeps nothing between calls:
+``count`` builds the one CountTable it prints, and ``asym`` the one
+u_tilde series it needs.
 
 Exit codes follow one convention across subcommands: 0 for success or a
 positive verdict, 1 for a negative verdict or a domain rejection, 2 for
@@ -19,9 +19,9 @@ failed scan) and raises every rejection; ``main`` alone turns a raised
 - ``FactorDomainError`` (a word with 000 or 111), ``ProfileError`` (a
   profile no word has) and the CLI's own refusals (a table above the
   cap, ``asym`` from n ~ 1e30) exit 1;
-- any other ``ValueError`` exits 2: a negative N or ``--limit``, n < 1,
-  a symbol other than 0 or 1, an unparsable profile or start letter, an
-  oracle or scan range out of bounds, an unreadable or unparsable b-file.
+- any other ``ValueError`` exits 2: a negative N, n < 1, a symbol
+  other than 0 or 1, an unparsable profile or start letter, an oracle or
+  scan range out of bounds.
 
 A reader that closes the output early ends the process with 1 and no
 traceback.
@@ -49,14 +49,6 @@ _ASYM_LOG10_LIMIT = 1e15
 
 class _Refused(ValueError):
     """A domain rejection made by the CLI itself; exits 1."""
-
-
-def _capped(limit: int) -> int:
-    from .counting import MAX_TABLE_LIMIT
-
-    if limit > MAX_TABLE_LIMIT:
-        raise _Refused(f"table index {limit} is above the cap of {MAX_TABLE_LIMIT}")
-    return limit
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -88,15 +80,15 @@ def cmd_invert(args: argparse.Namespace) -> int:
 
 
 def cmd_count(args: argparse.Namespace) -> int:
-    from .counting import CountTable
+    from .counting import MAX_TABLE_LIMIT, CountTable
 
     if args.limit < 0:
         raise ValueError("N must be nonnegative")
-    table = CountTable.build(_capped(args.limit))
+    if args.limit > MAX_TABLE_LIMIT:
+        raise _Refused(f"table index {args.limit} is above the cap of {MAX_TABLE_LIMIT}")
+    table = CountTable.build(args.limit)
     if args.format == "bfile":
-        from .oeis import format_bfile
-
-        sys.stdout.write(format_bfile(table.column(args.column or "c")))
+        sys.stdout.write(table.to_bfile(args.column or "c"))
     else:
         sys.stdout.write(table.to_csv(args.column))
     return EXIT_OK
@@ -147,44 +139,6 @@ def cmd_report(args: argparse.Namespace) -> int:
     report = args.report(args)
     sys.stdout.write(report.as_csv() if args.format == "csv" else report.as_text())
     return EXIT_OK if report.ok else EXIT_FAIL
-
-
-def cmd_oeis_compare(args: argparse.Namespace) -> int:
-    from .counting import COLUMN_ALIASES, CountTable
-    from .oeis import KNOWN_SEQUENCE_IDS, BFileParseError, compare_values, read_bfile
-
-    if args.limit < 0:
-        raise ValueError("--limit must be nonnegative")
-    limit = _capped(args.limit)
-    try:
-        bfile = read_bfile(args.path)
-    except BFileParseError as exc:
-        raise ValueError(f"{args.path}: {exc}") from None
-    except (OSError, ValueError) as exc:
-        # a missing or undecodable file, or a path the OS cannot take
-        raise ValueError(f"cannot read {args.path}: {exc}") from None
-    name = COLUMN_ALIASES[args.column]
-    expected_id = KNOWN_SEQUENCE_IDS.get(name)
-    if bfile.sequence_id and expected_id and bfile.sequence_id != expected_id:
-        print(
-            f"warning: file names {bfile.sequence_id} but column {args.column} "
-            f"is catalogued as {expected_id}",
-            file=sys.stderr,
-        )
-    usable = [n for n, _ in bfile.entries if args.offset <= n <= limit]
-    if not usable:
-        print("warning: no overlapping indices; comparison is vacuous")
-        return EXIT_OK
-    # a negative offset asks for local indices beyond the b-file's
-    table = CountTable.build(_capped(max(usable) - args.offset))
-    mismatches, overlap = compare_values(bfile, table.column(name), args.offset)
-    for m in mismatches:
-        print(f"n={m.index} local={m.local} reference={m.reference}")
-    if mismatches:
-        print(f"{len(mismatches)} mismatches over {overlap} shared indices")
-        return EXIT_FAIL
-    print(f"ok: {overlap} shared indices agree")
-    return EXIT_OK
 
 
 def _oracle_report(args: argparse.Namespace):
@@ -245,13 +199,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-exp", type=int, default=8, dest="max_exp")
     p.add_argument("--format", choices=["text", "csv"], default="text")
     p.set_defaults(func=cmd_report, report=_quad_report)
-
-    p = sub.add_parser("oeis-compare", help="diff a column against a downloaded b-file")
-    p.add_argument("path")
-    p.add_argument("--column", choices=["c", "v", "u"], default="c")
-    p.add_argument("--limit", type=int, default=1000, help="largest index to compare")
-    p.add_argument("--offset", type=int, default=0, help="index of the first local value")
-    p.set_defaults(func=cmd_oeis_compare)
 
     return parser
 

@@ -53,7 +53,7 @@ __all__ = [
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
-# largest N that `xxrx count` and `xxrx oeis-compare` tabulate:
+# largest N that `xxrx count` tabulates:
 # CountTable.build(10_000) takes ~0.24 s on a 2-vCPU Xeon (Python 3.11)
 MAX_TABLE_LIMIT = 10_000
 
@@ -153,6 +153,10 @@ class CountTable(namedtuple("CountTable", "limit u_tilde v c")):
         fields = [map(str, range(self.limit + 1))]
         fields.extend(map(str, self.column(name)) for name in names)
         return "\n".join([",".join(("n", *names)), *map(",".join, zip(*fields))]) + "\n"
+
+    def to_bfile(self, column: str) -> str:
+        """The named column as b-file lines "n value", from index 0."""
+        return "".join(f"{i} {v}\n" for i, v in enumerate(self.column(column)))
 
 
 def _log_estimate(n: int) -> float:

@@ -1,15 +1,14 @@
-"""OEIS b-file parsing, rendering, and comparison with local tables.
+"""OEIS b-file parsing.
 
 A b-file lists one "n a(n)" pair per line.  Lines starting with '#' and
-blank lines are tolerated on read and never written.  No network access
-happens here; callers download files themselves.
+blank lines are skipped.  No network access happens here; callers
+download files themselves.
 """
 
 from __future__ import annotations
 
 import re
 from collections import namedtuple
-from collections.abc import Sequence
 from pathlib import Path
 
 from .sequences import _echo, _int_fault
@@ -17,16 +16,9 @@ from .sequences import _echo, _int_fault
 __all__ = [
     "BFile",
     "BFileParseError",
-    "KNOWN_SEQUENCE_IDS",
     "MAX_BFILE_BYTES",
-    "SequenceMismatch",
-    "compare_values",
-    "format_bfile",
     "read_bfile",
 ]
-
-# catalog identifiers of the columns this package tabulates
-KNOWN_SEQUENCE_IDS = {"c": "A261204", "u_tilde": "A022567"}
 
 # read_bfile refuses larger files; a b-file of c(0..10000) is ~0.77 MB
 MAX_BFILE_BYTES = 16 * 2**20
@@ -90,38 +82,3 @@ def read_bfile(path: str | Path) -> BFile:
     if len(data) > MAX_BFILE_BYTES:
         raise ValueError(f"file is larger than {MAX_BFILE_BYTES} bytes")
     return _parse_bfile(data.decode("utf-8"), sid)
-
-
-def format_bfile(values: Sequence[int]) -> str:
-    """Render consecutive values as b-file lines starting at index 0."""
-    return "".join(f"{i} {v}\n" for i, v in enumerate(values))
-
-
-class SequenceMismatch(namedtuple("SequenceMismatch", "index local reference")):
-    """One term where the local value differs from the b-file's.  The field
-    index shadows tuple.index."""
-
-    __slots__ = ()
-    index: int
-    local: int
-    reference: int
-
-
-def compare_values(
-    bfile: BFile, values: Sequence[int], offset: int = 0
-) -> tuple[list[SequenceMismatch], int]:
-    """Compare local values against a b-file on their overlapping indices.
-
-    values[i] is taken as the term of index offset + i.  Returns the
-    mismatch rows and the overlap size; an empty overlap is the caller's
-    signal to warn about a vacuous comparison.
-    """
-    mismatches = []
-    overlap = 0
-    for n, reference in bfile.entries:
-        i = n - offset
-        if 0 <= i < len(values):
-            overlap += 1
-            if values[i] != reference:
-                mismatches.append(SequenceMismatch(n, values[i], reference))
-    return mismatches, overlap

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxrx
-from xxrx import CountTable, count_c, factorization, find_xxrx_instance, format_bfile, oeis, words
+from xxrx import CountTable, factorization, find_xxrx_instance, words
 from xxrx.cli import main
 from xxrx.counting import MAX_TABLE_LIMIT
 from xxrx.intersect import MAX_QUAD_EXPONENT
@@ -133,11 +133,7 @@ def test_count_bfile_defaults_to_c(capsys):
     assert [int(line.split()[1]) for line in out.splitlines()] == C_ROW[:6]
 
 
-def test_table_cap(capsys, monkeypatch, tmp_path):
-    # count_c builds through CountTable.build too, so the b-file is
-    # written before the patch
-    path = tmp_path / "b261204.txt"
-    path.write_text(format_bfile(count_c(2)))
+def test_table_cap(capsys, monkeypatch):
     built = []
 
     def fake_build(limit):
@@ -149,13 +145,8 @@ def test_table_cap(capsys, monkeypatch, tmp_path):
     assert code == 0 and err == "" and built == [MAX_TABLE_LIMIT]
     code, out, err = run(capsys, "count", str(MAX_TABLE_LIMIT + 1))
     assert code == 1 and out == "" and err.startswith("error:")
-    code, out, _ = run(capsys, "oeis-compare", str(path), "--limit", str(MAX_TABLE_LIMIT))
-    assert code == 0 and "3 shared indices agree" in out
-    for options in (["--limit", str(MAX_TABLE_LIMIT + 1)], [f"--offset=-{MAX_TABLE_LIMIT}"]):
-        code, out, err = run(capsys, "oeis-compare", str(path), *options)
-        assert code == 1 and out == "" and err.startswith("error:")
     # no table was built above the cap
-    assert built == [MAX_TABLE_LIMIT, 2]
+    assert built == [MAX_TABLE_LIMIT]
 
 
 def test_cli_writes_no_file(monkeypatch, tmp_path, capsys):
@@ -223,75 +214,7 @@ def test_cfl_verify(capsys):
     assert outs["csv"] == "i,j,k,l,in_L,predicate\n"
 
 
-def test_oeis_compare_clean(capsys, tmp_path):
-    path = tmp_path / "b261204.txt"
-    path.write_text(format_bfile(count_c(12)))
-    code, out, _ = run(capsys, "oeis-compare", str(path), "--column", "c")
-    assert code == 0
-    assert "13 shared indices agree" in out
-
-
-def test_oeis_compare_detects_corruption(capsys, tmp_path):
-    values = count_c(12)
-    values[7] += 1
-    path = tmp_path / "corrupt.txt"
-    path.write_text(format_bfile(values))
-    code, out, _ = run(capsys, "oeis-compare", str(path), "--column", "c")
-    assert code == 1
-    assert "n=7" in out and "1 mismatches" in out
-
-
-def test_oeis_compare_refuses_a_file_over_the_cap(capsys, tmp_path, monkeypatch):
-    body = format_bfile(count_c(5)).encode()
-    monkeypatch.setattr(oeis, "MAX_BFILE_BYTES", len(body))
-    path = tmp_path / "cap.txt"
-    path.write_bytes(body)
-    code, out, err = run(capsys, "oeis-compare", str(path))
-    assert (code, out, err) == (0, "ok: 6 shared indices agree\n", "")
-    path.write_bytes(body + b"\n")
-    code, out, err = run(capsys, "oeis-compare", str(path))
-    want = f"error: cannot read {path}: file is larger than {len(body)} bytes\n"
-    assert (code, out, err) == (2, "", want)
-
-
-def test_oeis_compare_vacuous(capsys, tmp_path):
-    path = tmp_path / "empty.txt"
-    path.write_text("# nothing but comments\n")
-    code, out, _ = run(capsys, "oeis-compare", str(path))
-    assert code == 0 and "vacuous" in out
-
-
-def test_oeis_compare_limit(capsys, tmp_path):
-    path = tmp_path / "long.txt"
-    path.write_text(format_bfile(count_c(30)))
-    code, out, _ = run(capsys, "oeis-compare", str(path), "--limit", "10")
-    assert code == 0
-    assert "11 shared indices agree" in out
-
-
-def test_oeis_compare_id_mismatch_warns(capsys, tmp_path):
-    path = tmp_path / "b000001.txt"
-    path.write_text(format_bfile(count_c(5)))
-    code, out, err = run(capsys, "oeis-compare", str(path), "--column", "c")
-    assert code == 0
-    assert "warning" in err and "A261204" in err
-
-
-def test_count_bfile_round_trips_through_compare(capsys, tmp_path):
-    code, out, _ = run(capsys, "count", "20", "--column", "u", "--format", "bfile")
-    assert code == 0
-    path = tmp_path / "b022567.txt"
-    path.write_text(out)
-    code, out, _ = run(capsys, "oeis-compare", str(path), "--column", "u")
-    assert code == 0
-    assert "21 shared indices agree" in out
-
-
-_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"
-
-
-# every rejection branch with its exit code and its one stderr line;
-# {tmp} stands for a directory holding latin1.txt (not UTF-8) and bad.txt
+# every rejection branch with its exit code and its one stderr line
 @pytest.mark.parametrize(
     "argv, want_code, want_err",
     [
@@ -311,18 +234,6 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
         ),
         (["oracle", "--words", "99", "--seq", "4"], 2, "word side limited to 0 <= n <= 24"),
         (["cfl-verify", "--max-exp", "0"], 2, "max_exp must be between 1 and 10"),
-        (
-            ["oeis-compare", "{tmp}/nope.txt"],
-            2,
-            "cannot read {tmp}/nope.txt: [Errno 2] No such file or directory: '{tmp}/nope.txt'",
-        ),
-        (["oeis-compare", "{tmp}"], 2, "cannot read {tmp}: [Errno 21] Is a directory: '{tmp}'"),
-        (["oeis-compare", "{tmp}/latin1.txt"], 2, f"cannot read {{tmp}}/latin1.txt: {_NOT_UTF8}"),
-        (
-            ["oeis-compare", "{tmp}/bad.txt"],
-            2,
-            "{tmp}/bad.txt: line 2: non-integer field in 'not numbers'",
-        ),
         pytest.param(
             ["invert", "0", "(" + "9" * 5000 + ")"],
             2,
@@ -341,12 +252,6 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
             2,
             "non-integer entry in sequence '(,)'",
             id="invert-comma-only-profile",
-        ),
-        pytest.param(
-            ["oeis-compare", "{tmp}/bad.txt", "--limit", "-1"],
-            2,
-            "--limit must be nonnegative",
-            id="oeis-compare-negative-limit",
         ),
         pytest.param(
             ["factor", "0x0"],
@@ -374,14 +279,14 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 6: invalid start b
         ),
     ],
 )
-def test_rejection_exit_code_and_message(capsys, tmp_path, argv, want_code, want_err):
-    (tmp_path / "latin1.txt").write_bytes(b"0 1\n1 \xff\n")
-    (tmp_path / "bad.txt").write_text("0 1\nnot numbers\n")
-    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
-    assert (code, out, err) == (want_code, "", f"error: {want_err.format(tmp=tmp_path)}\n")
+def test_rejection_exit_code_and_message(capsys, argv, want_code, want_err):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (want_code, "", f"error: {want_err}\n")
 
 
-@pytest.mark.parametrize("cmdline", ["bench", "gf 8", "check --naive 00"])
+@pytest.mark.parametrize(
+    "cmdline", ["bench", "gf 8", "check --naive 00", "oeis-compare b261204.txt"]
+)
 def test_removed_commands_are_usage_errors(capsys, cmdline):
     with pytest.raises(SystemExit) as info:
         main(cmdline.split())
@@ -411,14 +316,9 @@ _profiles = st.text() | st.lists(st.integers(-1, 9), max_size=6).map(
 )
 _formats = st.sampled_from(["text", "csv", "bfile", "x"])
 
-_cap_edges = st.sampled_from(
-    [-MAX_TABLE_LIMIT - 1, -MAX_TABLE_LIMIT, -1, 0, MAX_TABLE_LIMIT, MAX_TABLE_LIMIT + 1]
-).map(str)
-
 # count and oracle stay cheap inside these bounds (count above the table
 # cap is refused before any build); oracle and cfl-verify
-# always get their size options, since their defaults take ~0.2 s a call;
-# oeis-compare never gets a b-file with entries, so it builds no table
+# always get their size options, since their defaults take ~0.2 s a call
 _argv = st.one_of(
     _cat(st.just(["check"]), _arg(_words)),
     _cat(st.just(["factor"]), _arg(_words)),
@@ -442,13 +342,6 @@ _argv = st.one_of(
         _arg(_num(-3, 4) | _num(11, 10**6)),
         _opt("--format", _formats),
     ),
-    _cat(
-        st.just(["oeis-compare"]),
-        _arg(st.sampled_from([os.devnull, "/", "/nonexistent/b000000.txt"]) | st.text()),
-        _opt("--column", st.sampled_from("cvux")),
-        _opt("--limit", _cap_edges),
-        _opt("--offset", _cap_edges),
-    ),
 )
 
 
@@ -457,7 +350,6 @@ _argv = st.one_of(
 @example(["asym", str(10**100)])
 @example(["asym", str(10**400)])
 @example(["asym", str(10**700)])
-@example(["oeis-compare", "b\x00.txt"])
 def test_argv_fuzz_exits_cleanly(argv):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):

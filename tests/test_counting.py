@@ -136,6 +136,10 @@ def test_count_table_columns_and_csv():
     assert table.to_csv("u") == table.to_csv("u_tilde") == "n,u_tilde\n0,1\n1,2\n2,3\n"
     with pytest.raises(ValueError):
         table.to_csv("w")
+    assert table.to_bfile("c") == "0 1\n1 2\n2 4\n"
+    assert table.to_bfile("u") == "0 1\n1 2\n2 3\n"
+    with pytest.raises(ValueError):
+        table.to_bfile("w")
 
 
 def test_verify_bounds():

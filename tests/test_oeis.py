@@ -3,16 +3,7 @@ import sys
 
 import pytest
 
-from xxrx import (
-    KNOWN_SEQUENCE_IDS,
-    MAX_BFILE_BYTES,
-    BFile,
-    BFileParseError,
-    compare_values,
-    count_c,
-    format_bfile,
-    read_bfile,
-)
+from xxrx import MAX_BFILE_BYTES, BFileParseError, CountTable, read_bfile
 from xxrx.oeis import _parse_bfile
 
 
@@ -84,43 +75,11 @@ def test_read_infers_id_from_filename(tmp_path):
     assert read_bfile(q).sequence_id is None
 
 
-def test_format_bfile():
-    assert format_bfile([1, 2, 4]) == "0 1\n1 2\n2 4\n"
-    assert format_bfile([]) == ""
-
-
 def test_format_parse_round_trip():
-    values = count_c(12)
-    bf = _parse_bfile(format_bfile(values))
-    assert [v for _, v in bf.entries] == values
+    table = CountTable.build(12)
+    bf = _parse_bfile(table.to_bfile("c"))
+    assert tuple(v for _, v in bf.entries) == table.c
     assert [n for n, _ in bf.entries] == list(range(13))
-
-
-def test_compare_values():
-    bf = BFile(((0, 1), (1, 2), (2, 4), (10, 99)))
-    mismatches, overlap = compare_values(bf, [1, 2, 4])
-    assert mismatches == [] and overlap == 3
-
-    mismatches, overlap = compare_values(bf, [1, 2, 5])
-    assert overlap == 3
-    assert len(mismatches) == 1
-    assert (mismatches[0].index, mismatches[0].local, mismatches[0].reference) == (2, 5, 4)
-
-
-def test_compare_values_with_offset():
-    bf = BFile(((1, 2), (2, 4)))
-    mismatches, overlap = compare_values(bf, [2, 4], offset=1)
-    assert mismatches == [] and overlap == 2
-
-
-def test_compare_values_empty_overlap():
-    bf = BFile(((50, 123),))
-    mismatches, overlap = compare_values(bf, [1, 2, 3])
-    assert mismatches == [] and overlap == 0
-
-
-def test_known_sequence_ids():
-    assert KNOWN_SEQUENCE_IDS == {"c": "A261204", "u_tilde": "A022567"}
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")

@@ -23,7 +23,6 @@ PUBLIC_NAMES = [
     "FactorDomainError",
     "Factorization",
     "IntersectionReport",
-    "KNOWN_SEQUENCE_IDS",
     "MAX_BFILE_BYTES",
     "MAX_BRUTE_SEQ_WEIGHT",
     "MAX_BRUTE_WORD_LEN",
@@ -35,7 +34,6 @@ PUBLIC_NAMES = [
     "ProfileError",
     "QuadCase",
     "QuadExponents",
-    "SequenceMismatch",
     "__version__",
     "asymptotic_u_tilde",
     "avoids_xxrx_naive",
@@ -43,13 +41,11 @@ PUBLIC_NAMES = [
     "brute_count_x",
     "build_quad_word",
     "check_word",
-    "compare_values",
     "count_c",
     "count_v",
     "cross_check",
     "factorize",
     "find_xxrx_instance",
-    "format_bfile",
     "format_sequence",
     "gf_u_tilde",
     "in_x",

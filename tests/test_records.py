@@ -17,7 +17,6 @@ from xxrx import (
     PatternInstance,
     QuadCase,
     QuadExponents,
-    SequenceMismatch,
 )
 
 EXAMPLES = [
@@ -30,7 +29,6 @@ EXAMPLES = [
     (QuadCase, (QuadExponents(1, 2, 3, 4), True, True)),
     (IntersectionReport, (2, 16, ())),
     (BFile, (((0, 1), (1, 2)), "A261204")),
-    (SequenceMismatch, (3, 7, 8)),
     (Discrepancy, (5, "words", 10, 11)),
     (CrossCheckReport, (12, 25, (Discrepancy(5, "words", 10, 11),))),
 ]
