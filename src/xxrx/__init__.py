@@ -6,12 +6,12 @@ positive sequences and their partition-pair encoding, exact and
 asymptotic count tables, brute-force oracles, and the quadruple-family
 predicate, plus a CLI (``xxrx``) wiring it all together.
 
-The package re-exports the ``__all__`` of each of its seven public
+The package re-exports the ``__all__`` of each of its six public
 modules, so a public name is listed once, in its own module.  Only
 ``__version__`` is bound at import, so ``import xxrx.cli`` loads no
 library module.  The first other name asked of the package (PEP 562
 ``__getattr__``: ``xxrx.profile``, ``from xxrx import *``,
-``xxrx.words``, ``dir(xxrx)``) imports the seven modules, binds their
+``xxrx.words``, ``dir(xxrx)``) imports the six modules, binds their
 public names and ``BACKEND``, and builds ``__all__``.  The kernels
 (pattern scan, profile extraction, membership) are pure Python, in one
 module, ``_scan_py``, which ``words`` and ``factorization`` call
@@ -20,7 +20,7 @@ directly; ``BACKEND`` names it.
 
 __version__ = "0.1.0"
 
-_MODULES = ("bruteforce", "counting", "factorization", "intersect", "oeis", "sequences", "words")
+_MODULES = ("bruteforce", "counting", "factorization", "intersect", "sequences", "words")
 
 
 def __getattr__(name):

@@ -94,13 +94,16 @@ def _check_start_letter(letter: object) -> None:
         raise ValueError(f"start letter must be '0' or '1', not {_echo(letter)}")
 
 
-def reconstruct(start_letter: str, entries: Iterable[int]) -> str:
+def reconstruct(start_letter: str | None, entries: Iterable[int]) -> str:
     """The unique triple-free word with the given start letter and profile.
 
     Emits one alternating block per entry; each block begins with the
     letter the previous block ended on, which creates the doubled letter
-    at the junction.
+    at the junction.  The empty word, whose start letter is None, comes
+    back from ``reconstruct(None, ())``.
     """
+    if start_letter is None and entries == ():
+        return ""
     _check_start_letter(start_letter)
     p = _validate_profile(entries)
     weight = sum(p)

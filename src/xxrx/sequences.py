@@ -116,8 +116,8 @@ def _echo(text: object) -> str:
     return repr(text)
 
 
-def _int_fault(part: str, what: str) -> str | None:
-    """Why int(part) fails, calling part a what; None if it does not."""
+def _int_fault(part: str) -> str | None:
+    """Why int(part) fails, calling part an entry; None if it does not."""
     try:
         int(part)
     except ValueError:
@@ -127,8 +127,8 @@ def _int_fault(part: str, what: str) -> str | None:
         # int() takes every decimal string except one longer than
         # sys.get_int_max_str_digits()
         if digits.isdecimal():
-            return f"{what} too long ({len(digits)} digits, limit {sys.get_int_max_str_digits()})"
-        return f"non-integer {what}"
+            return f"entry too long ({len(digits)} digits, limit {sys.get_int_max_str_digits()})"
+        return "non-integer entry"
     return None
 
 
@@ -151,5 +151,5 @@ def parse_sequence(text: str) -> tuple[int, ...]:
         try:
             out.append(int(part))
         except ValueError:
-            raise ValueError(f"{_int_fault(part, 'entry')} in sequence {_echo(text)}") from None
+            raise ValueError(f"{_int_fault(part)} in sequence {_echo(text)}") from None
     return tuple(out)

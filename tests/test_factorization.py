@@ -66,6 +66,9 @@ def test_reconstruct_rejects_bad_profiles():
         reconstruct("0", (3, -2))
     with pytest.raises(ValueError):
         reconstruct("2", (3,))
+    # only the empty profile goes without a start letter
+    with pytest.raises(ValueError):
+        reconstruct(None, (2,))
     with pytest.raises(ProfileError):
         reconstruct("0", (MAX_RECONSTRUCT_LEN, 1))
     assert len(reconstruct("0", (MAX_RECONSTRUCT_LEN - 1, 1))) == MAX_RECONSTRUCT_LEN
@@ -106,8 +109,7 @@ def test_round_trip_on_all_triple_free_words():
     for w in triple_free_words(12):
         f = factorize(w)
         assert f == Factorization(w[:1] or None, profile(w))
-        # the empty word has no start letter, and either rebuilds it
-        assert reconstruct(f.start_letter or "0", f.profile) == w
+        assert reconstruct(f.start_letter, f.profile) == w
 
 
 def test_inverse_round_trip_on_all_valid_profiles():

@@ -6,7 +6,7 @@ import sys
 from pathlib import Path
 
 import xxrx
-from xxrx import bruteforce, counting, factorization, intersect, oeis, sequences, words
+from xxrx import bruteforce, counting, factorization, intersect, sequences, words
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
@@ -15,15 +15,12 @@ BENCHMARK = SRC.parent / "BENCHMARK.json"
 PUBLIC_NAMES = [
     "AsymptoticEstimate",
     "BACKEND",
-    "BFile",
-    "BFileParseError",
     "CountTable",
     "CrossCheckReport",
     "Discrepancy",
     "FactorDomainError",
     "Factorization",
     "IntersectionReport",
-    "MAX_BFILE_BYTES",
     "MAX_BRUTE_SEQ_WEIGHT",
     "MAX_BRUTE_WORD_LEN",
     "MAX_RECONSTRUCT_LEN",
@@ -55,7 +52,6 @@ PUBLIC_NAMES = [
     "parse_sequence",
     "profile",
     "quad_predicate",
-    "read_bfile",
     "reconstruct",
     "sequence_to_pairs",
     "verify_bounds",
@@ -166,7 +162,6 @@ def test_all_lists_the_modules_names_in_order():
         *counting.__all__,
         *factorization.__all__,
         *intersect.__all__,
-        *oeis.__all__,
         *sequences.__all__,
         *words.__all__,
         "__version__",

@@ -7,7 +7,6 @@ import pytest
 import xxrx
 from xxrx import (
     AsymptoticEstimate,
-    BFile,
     CountTable,
     CrossCheckReport,
     Discrepancy,
@@ -28,7 +27,6 @@ EXAMPLES = [
     (QuadExponents, (1, 2, 3, 4)),
     (QuadCase, (QuadExponents(1, 2, 3, 4), True, True)),
     (IntersectionReport, (2, 16, ())),
-    (BFile, (((0, 1), (1, 2)), "A261204")),
     (Discrepancy, (5, "words", 10, 11)),
     (CrossCheckReport, (12, 25, (Discrepancy(5, "words", 10, 11),))),
 ]

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -136,11 +138,19 @@ def test_parse_sequence():
         parse_sequence("1,3,2")
     with pytest.raises(ValueError):
         parse_sequence("(1,a)")
-    # a comma with no entry before it is not a trailing comma
-    for text in ("(,)", "( , )"):
+    # a comma with no entry before it is not a trailing comma, and a
+    # text of 60 characters is echoed whole
+    for text in ("(,)", "( , )", "(" + "x" * 58 + ")"):
         with pytest.raises(ValueError) as got:
             parse_sequence(text)
         assert str(got.value) == f"non-integer entry in sequence {text!r}"
+    # the sign is not counted as a digit, and the echo is cut to 60 characters
+    with pytest.raises(ValueError) as got:
+        parse_sequence("(-" + "7" * 5000 + ")")
+    assert str(got.value) == (
+        f"entry too long (5000 digits, limit {sys.get_int_max_str_digits()}) "
+        f"in sequence '(-{'7' * 58}'…"
+    )
 
 
 def test_distinct_partitions_helper_is_sane():
