@@ -100,9 +100,9 @@ def reconstruct(start_letter: str | None, entries: Iterable[int]) -> str:
     Emits one alternating block per entry; each block begins with the
     letter the previous block ended on, which creates the doubled letter
     at the junction.  The empty word, whose start letter is None, comes
-    back from ``reconstruct(None, ())``.
+    back from a start letter of None and any empty profile.
     """
-    if start_letter is None and entries == ():
+    if start_letter is None and not tuple(entries):
         return ""
     _check_start_letter(start_letter)
     p = _validate_profile(entries)

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import xxrx
-from xxrx import CountTable, factorization, find_xxrx_instance, words
+from xxrx import CountTable, factorization, find_xxrx_instance, intersect, words
 from xxrx.cli import main
 from xxrx.counting import MAX_TABLE_LIMIT
 from xxrx.intersect import MAX_QUAD_EXPONENT
@@ -162,11 +162,11 @@ def test_cli_writes_no_file(monkeypatch, tmp_path, capsys):
 
 
 def test_asym_with_exact(capsys):
-    code, out, _ = run(capsys, "asym", "12")
-    assert code == 0
-    assert out.startswith("n=12 estimate=")
-    assert "exact=176" in out
-    assert "rel_err=" in out
+    # the exact value comes with the estimate up to n = 1000, and no further
+    for n, exact in ((12, 176), (1000, 151659161202845080075257381356544), (1001, None)):
+        code, out, _ = run(capsys, "asym", str(n))
+        assert code == 0 and out.startswith(f"n={n} estimate=")
+        assert (f" exact={exact} rel_err=" in out) if exact else ("exact=" not in out)
 
 
 def test_asym_beyond_float_range(capsys):
@@ -197,7 +197,7 @@ def test_oracle_csv_format(capsys):
     assert out == "n,side,expected,got\n"
 
 
-def test_cfl_verify(capsys):
+def test_cfl_verify(capsys, monkeypatch):
     code, out, _ = run(capsys, "cfl-verify", "--max-exp", "3")
     assert code == 0
     assert "agree everywhere" in out
@@ -212,6 +212,9 @@ def test_cfl_verify(capsys):
         assert code == 0 and err == ""
     assert "agree everywhere" in outs["text"]
     assert outs["csv"] == "i,j,k,l,in_L,predicate\n"
+    # a disagreement exits 1
+    monkeypatch.setattr(intersect, "quad_predicate", lambda e: True)
+    assert run(capsys, "cfl-verify", "--max-exp", "2")[0] == 1
 
 
 # every rejection branch with its exit code and its one stderr line

@@ -36,13 +36,6 @@ def test_table_rows_through_12():
     assert count_c(12) == C_ROW
 
 
-def test_small_prefixes():
-    assert gf_u_tilde(0) == [1]
-    assert gf_u_tilde(2) == [1, 2, 3]
-    assert count_v(0) == [1]
-    assert count_c(0) == [1]
-
-
 def test_frozen_extension_values():
     table = CountTable.build(25)
     assert list(table.c[13:21]) == C_EXT
@@ -150,13 +143,6 @@ def test_verify_bounds():
         verify_bounds(0)
 
 
-def test_bounds_spot_values():
-    # n=5 sandwich: 14 <= 16 <= 28
-    u, c = gf_u_tilde(5), count_c(5)
-    assert u[5] == 14 and c[5] == 16
-    assert u[5] <= c[5] <= 2 * u[5]
-
-
 def test_asymptotic_examples():
     est = asymptotic_u_tilde(1)
     assert est.value > 0 and math.isfinite(est.value)
@@ -165,6 +151,10 @@ def test_asymptotic_examples():
     est12 = asymptotic_u_tilde(12, 176)
     assert est12.relative_error_vs_exact is not None
     assert est12.relative_error_vs_exact < 0.02
+
+    # n = 3 is the one n <= 10000 where the estimate, 5.8849..., is below exact
+    est3 = asymptotic_u_tilde(3, 6)
+    assert est3.value < 6 and est3.relative_error_vs_exact == 1 - est3.value / 6
 
 
 def test_asymptotic_beyond_float_range():

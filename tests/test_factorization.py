@@ -55,6 +55,8 @@ def test_reconstruct_examples():
     assert reconstruct("0", (4, 4, 4)) == "010110100101"
     assert reconstruct("1", (1, 1)) == "11"
     assert reconstruct("0", ()) == ""
+    # the empty word has no start letter, whatever iterable holds its profile
+    assert reconstruct(None, ()) == reconstruct(None, []) == reconstruct(None, iter(())) == ""
 
 
 def test_reconstruct_rejects_bad_profiles():

@@ -44,19 +44,6 @@ def test_exponent_validation():
         QuadExponents(1, 1, -3, 1)
 
 
-def test_smallest_case_is_excluded_on_both_sides():
-    e = QuadExponents(1, 1, 1, 1)
-    assert not quad_predicate(e)
-    assert not avoids_xxrx_naive(build_quad_word(e))
-
-
-def test_verify_small_boxes():
-    r1 = verify_intersection_claim(1)
-    assert r1.ok and r1.total_cases == 1
-    r4 = verify_intersection_claim(4)
-    assert r4.ok and r4.total_cases == 256
-
-
 def test_verify_guard():
     with pytest.raises(ValueError):
         verify_intersection_claim(0)

@@ -9,7 +9,6 @@ from xxrx import (
     NotInXError,
     PartitionPair,
     format_sequence,
-    gf_u_tilde,
     in_x,
     parse_sequence,
     sequence_to_pairs,
@@ -85,20 +84,6 @@ def test_in_x_is_classify_without_the_witness():
             assert in_x(s) is want
             assert in_x(list(s)) is want
             assert in_x(d for d in s) is want
-
-
-def test_no_interior_entry_one_in_x():
-    for n in range(13):
-        for s in compositions(n):
-            if len(s) >= 3 and in_x(s):
-                assert 1 not in s[1:-1]
-
-
-def test_double_counting_identity_matches_series():
-    u = gf_u_tilde(12)
-    for n in range(13):
-        total = sum(len(sequence_to_pairs(s)) for s in compositions(n) if in_x(s))
-        assert total == u[n]
 
 
 pairs = st.builds(

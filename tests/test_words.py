@@ -73,18 +73,6 @@ def test_find_xxrx_worked_example():
     assert find_xxrx_instance(reconstruct("0", (1000, 1000, 1000))) == PatternInstance(0, 1000)
 
 
-def test_find_xxrx_trivial_cases():
-    assert find_xxrx_instance("") is None
-    assert find_xxrx_instance("011001") == PatternInstance(0, 2)
-    assert find_xxrx_instance("000") == PatternInstance(0, 1)
-
-
-def test_avoids_examples():
-    assert avoids_xxrx_naive("0101")
-    assert avoids_xxrx_naive("")
-    assert not avoids_xxrx_naive("010110100101")
-
-
 def test_complement_reverse_examples():
     # anchor the helpers that the closure tests below rely on
     assert complement("010") == "101"
@@ -101,13 +89,6 @@ def test_instance_search_matches_reference_exhaustively():
             assert (got is None) == (expected is None)
             if got is not None:
                 assert (got.start, got.block_len) == expected
-
-
-def test_avoiders_contain_no_tripled_letter():
-    for n in range(13):
-        for w in all_words(n):
-            if avoids_xxrx_naive(w):
-                assert "000" not in w and "111" not in w
 
 
 @given(words)
