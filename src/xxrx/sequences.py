@@ -116,20 +116,16 @@ def _echo(text: object) -> str:
     return repr(text)
 
 
-def _int_fault(part: str) -> str | None:
-    """Why int(part) fails, calling part an entry; None if it does not."""
-    try:
-        int(part)
-    except ValueError:
-        digits = part.strip()
-        if digits[:1] in ("+", "-"):
-            digits = digits[1:]
-        # int() takes every decimal string except one longer than
-        # sys.get_int_max_str_digits()
-        if digits.isdecimal():
-            return f"entry too long ({len(digits)} digits, limit {sys.get_int_max_str_digits()})"
-        return "non-integer entry"
-    return None
+def _int_fault(part: str) -> str:
+    """Why int(part) failed, calling part an entry."""
+    digits = part.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    # int() takes every decimal string except one longer than
+    # sys.get_int_max_str_digits()
+    if digits.isdecimal():
+        return f"entry too long ({len(digits)} digits, limit {sys.get_int_max_str_digits()})"
+    return "non-integer entry"
 
 
 def parse_sequence(text: str) -> tuple[int, ...]:

@@ -53,6 +53,9 @@ def test_negative_limit_is_rejected():
         cached_table(-1)
     assert cache._longest is None
     assert cached_table(0) == CountTable(0, (1,), (1,), (1,))
+    # with a memo in place, a negative limit still raises and is not sliced
+    with pytest.raises(ValueError, match="nonnegative"):
+        cached_table(-1)
 
 
 def test_cache_is_isolated_per_test():

@@ -170,10 +170,16 @@ def test_asym_with_exact(capsys):
 
 
 def test_asym_beyond_float_range(capsys):
-    # mantissa pinned from a 50-digit evaluation of the same formula
-    code, out, err = run(capsys, "asym", "100000")
-    assert code == 0 and err == ""
-    assert out == "n=100000 estimate=5.4176144942e+347\n"
+    for n, estimate in [
+        # mantissa pinned from a 50-digit evaluation of the same formula
+        (100000, "5.4176144942e+347"),
+        # log10 of the estimate is 99999999.99999988: its mantissa rounds
+        # up to 10, which carries into the power of ten
+        (8057920932515528, "1.00000e+100000000"),
+    ]:
+        code, out, err = run(capsys, "asym", str(n))
+        assert code == 0 and err == ""
+        assert out == f"n={n} estimate={estimate}\n"
 
 
 @pytest.mark.parametrize("exponent", [100, 400, 700])

@@ -177,7 +177,8 @@ def test_asymptotic_beyond_float_range():
 
 
 def test_asymptotic_domain():
-    with pytest.raises(ValueError):
+    # math.sqrt(-1) raises a ValueError too; this one names the domain
+    with pytest.raises(ValueError, match="n >= 1"):
         asymptotic_u_tilde(0)
 
 

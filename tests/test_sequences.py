@@ -119,10 +119,9 @@ def test_parse_sequence():
     assert parse_sequence("()") == ()
     assert parse_sequence("(5,)") == (5,)
     assert parse_sequence("( )") == ()
-    with pytest.raises(ValueError):
-        parse_sequence("1,3,2")
-    with pytest.raises(ValueError):
-        parse_sequence("(1,a)")
+    for text in ("1,3,2", "(1,3", "1,3)", "(1,a)"):
+        with pytest.raises(ValueError):
+            parse_sequence(text)
     # a comma with no entry before it is not a trailing comma, and a
     # text of 60 characters is echoed whole
     for text in ("(,)", "( , )", "(" + "x" * 58 + ")"):
