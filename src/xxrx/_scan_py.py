@@ -109,11 +109,12 @@ def scan_xxrx(w: bytes) -> tuple[int, int] | None:
     # A 111 is an interior block of length 1, so the first t = 1 hit is
     # the leftmost 111, and nothing shorter can follow it.  A word of
     # under 3 letters has no interior block
-    blocks = _blocks(w)
+    runs = _split(w)
     found = None
     best = n
-    s1 = blocks[0]
-    for t in blocks[1:-1]:
+    s1 = len(runs[0]) + 1
+    for run in runs[1:-1]:
+        t = len(run) + 1
         if t < best and t <= s1 and s1 + 2 * t <= n and _is_instance(w, s1, s1 + t):
             found, best = (s1 - t, t), t
             if t == 1:

@@ -50,13 +50,16 @@ def _ends_in_instance(w: str, starts: tuple[int, ...]) -> bool:
 
     starts: every k >= 1 with w[k-1] == w[k], rising.  With |x| = t the
     factor is w[m-3t:m]; its second centre s2 = m - t is such a k (see
-    ``_scan_py``) with 3·s2 >= 2m, and its first centre is 2·s2 - m.
+    ``_scan_py``) with 3·s2 >= 2m, and its first centre s1 = 2·s2 - m,
+    which is then at least t >= 1, is a doubled letter too: that one
+    comparison comes before the test of the definition.
     """
     m = len(w)
     for s2 in reversed(starts):
         if 3 * s2 < 2 * m:
             return False
-        if _is_instance(w, 2 * s2 - m, s2):
+        s1 = 2 * s2 - m
+        if w[s1 - 1] == w[s1] and _is_instance(w, s1, s2):
             return True
     return False
 
@@ -121,27 +124,33 @@ def _walk_sequences(
     letter.  Entries are tried smallest first, so the members of any one
     weight are reached in lexicographic order.  A member is counted
     where it is made, and extended only if some entry may follow it.
+    Each node carries its last entry, and is built as a tuple only up to
+    the heaviest weight kept: above it only the counts are needed.
     """
     counts = [1] + [0] * n
     kept: dict[int, list[tuple[int, ...]]] = {k: [] if k else [()] for k in keep}
+    deepest = max(kept, default=0)
 
-    def extend(s: tuple[int, ...], k: int, top: int) -> None:
-        # top >= 1: the largest entry that may follow s, of weight k
-        last = s[-1] if s else 0
+    def extend(s: tuple[int, ...], k: int, top: int, last: int) -> None:
+        # top >= 1: the largest entry that may follow s, of weight k and
+        # last entry last (0 if empty).  Past deepest no tuple is built:
+        # the s handed down there is a stale prefix, and is never read
+        child = s
         for d in range(1, top + 1):
-            child = s + (d,)
             weight = k + d
             counts[weight] += 1
-            if weight in kept:
-                kept[weight].append(child)
+            if weight <= deepest:
+                child = s + (d,)
+                if weight in kept:
+                    kept[weight].append(child)
             room = n - weight
-            if last >= d:
-                room = min(room, d - 1)
+            if last >= d and room >= d:
+                room = d - 1
             if room:
-                extend(child, weight, room)
+                extend(child, weight, room, d)
 
     if n:
-        extend((), 0, n)
+        extend((), 0, n, 0)
     del extend  # as in _walk_words
     return counts, kept
 

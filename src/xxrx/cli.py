@@ -82,8 +82,6 @@ def cmd_invert(args: argparse.Namespace) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     from .counting import MAX_TABLE_LIMIT, CountTable
 
-    if args.limit < 0:
-        raise ValueError("N must be nonnegative")
     if args.limit > MAX_TABLE_LIMIT:
         raise _Refused(f"table index {args.limit} is above the cap of {MAX_TABLE_LIMIT}")
     table = CountTable.build(args.limit)
@@ -115,10 +113,8 @@ def _format_estimate(est) -> str:
 def cmd_asym(args: argparse.Namespace) -> int:
     from .counting import asymptotic_u_tilde, gf_u_tilde
 
-    if args.n < 1:
-        raise ValueError("n must be at least 1")
     exact = None
-    if args.n <= _ASYM_EXACT_LIMIT:
+    if 1 <= args.n <= _ASYM_EXACT_LIMIT:
         exact = gf_u_tilde(args.n)[args.n]
     est = asymptotic_u_tilde(args.n, exact)
     if est.log10_value >= _ASYM_LOG10_LIMIT:

@@ -7,6 +7,7 @@ returns the instance with minimal block length, then minimal start.
 It tests the definition only at the two ends of each interior block,
 where ``_scan_py._is_instance`` shows a shortest instance sits.  It is
 the reference the linear recognizer in ``factorization`` is checked against.
+``avoids_xxrx_naive`` calls that scan directly, with no PatternInstance.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ def find_xxrx_instance(w: str) -> PatternInstance | None:
 
 
 def avoids_xxrx_naive(w: str) -> bool:
-    """True iff the word has no x x^R x instance: find_xxrx_instance(w)
-    is None, the block-end scan of ``_scan_py.scan_xxrx``.  The name is
-    older than that scan, and kept for its callers."""
-    return find_xxrx_instance(w) is None
+    """True iff the word has no x x^R x instance: the block-end scan of
+    ``_scan_py.scan_xxrx``, called directly on check_word's bytes, finds
+    none.  The name is older than that scan, and kept for its callers."""
+    return scan_xxrx(check_word(w)) is None

@@ -151,10 +151,16 @@ MUTANTS = [
            "_walk_words: block starts at the undoubled letters"),
     Mutant("bruteforce.py", '"01" if k else first_letters', 'first_letters if k else "01"',
            "_walk_words: first_letters applied past the first letter"),
-    Mutant("bruteforce.py", "room = min(room, d - 1)", "room = min(room, d)",
-           "_walk_sequences: min(room, d - 1) as min(room, d)"),
-    Mutant("bruteforce.py", "if last >= d:", "if last > d:",
+    Mutant("bruteforce.py", "room = d - 1", "room = d",
+           "_walk_sequences: a step that does not rise leaves room d"),
+    Mutant("bruteforce.py", "if last >= d and", "if last > d and",
            "_walk_sequences: an equal step counts as a rise"),
+    Mutant("bruteforce.py", "and room >= d:", "and room > d:",
+           "_walk_sequences: room d is not cut to d - 1"),
+    Mutant("bruteforce.py", "if weight <= deepest:", "if weight < deepest:",
+           "_walk_sequences: the heaviest kept weight is not built"),
+    Mutant("bruteforce.py", "if w[s1 - 1] == w[s1] and", "if w[s1 - 1] != w[s1] and",
+           "_ends_in_instance: the first-centre test inverted"),
     Mutant("bruteforce.py", 'not w.startswith("1")', 'not w.startswith("0")',
            "cross_check: profiles of the 1-words",
            "complementing a word swaps its first letter and keeps its"
@@ -173,7 +179,7 @@ MUTANTS = [
            "main: a closed pipe exits 0"),
     Mutant("cli.py", "EXIT_OK if report.ok else EXIT_FAIL", "EXIT_OK",
            "cmd_report: a disagreement exits 0"),
-    Mutant("cli.py", "if args.n <= _ASYM_EXACT_LIMIT:", "if args.n < _ASYM_EXACT_LIMIT:",
+    Mutant("cli.py", "args.n <= _ASYM_EXACT_LIMIT:", "args.n < _ASYM_EXACT_LIMIT:",
            "cmd_asym: no exact value at the limit"),
     # range guards
     Mutant("bruteforce.py", "if not 0 <= n <= cap:", "if not -1 <= n <= cap:",
@@ -190,11 +196,13 @@ MUTANTS = [
            "verify_bounds: limit 0 accepted"),
     Mutant("cache.py", "if limit < 0:", "if limit < -1:",
            "cached_table: -1 accepted"),
-    Mutant("cli.py", "if args.limit < 0:", "if args.limit < -3:",
-           "cmd_count: N = -3 left to CountTable.build"),
-    Mutant("cli.py", "if args.n < 1:", "if args.n < 0:",
-           "cmd_asym: n = 0 left to asymptotic_u_tilde"),
+    Mutant("cli.py", "if args.limit > MAX_TABLE_LIMIT:", "if args.limit >= MAX_TABLE_LIMIT:",
+           "cmd_count: a table at the cap refused"),
+    Mutant("cli.py", "if 1 <= args.n <= _ASYM_EXACT_LIMIT:", "if args.n <= _ASYM_EXACT_LIMIT:",
+           "cmd_asym: n < 1 left to gf_u_tilde"),
     # input checks and the validated records
+    Mutant("words.py", "return scan_xxrx(check_word(w)) is None", "return scan_xxrx(check_word(w)) is not None",
+           "avoids_xxrx_naive: the verdict inverted"),
     Mutant("words.py", 'w.encode("ascii", "replace")', 'w.encode("ascii", "ignore")',
            "check_word: non-ASCII symbols dropped"),
     Mutant("factorization.py", "b = check_word(w)", 'b = w.encode("ascii")',
@@ -297,8 +305,10 @@ MUTANTS = [
            "scan_xxrx: a later 111 taken over the 000"),
     Mutant("_scan_py.py", "found = None", "found = (0, 0)",
            "scan_xxrx: a word with no instance reports (0, 0)"),
-    Mutant("_scan_py.py", "for t in blocks[1:-1]:", "for t in blocks[:-1]:",
+    Mutant("_scan_py.py", "for run in runs[1:-1]:", "for run in runs[:-1]:",
            "scan_xxrx: the first block tested as an x^R"),
+    Mutant("_scan_py.py", "t = len(run) + 1", "t = len(run)",
+           "scan_xxrx: each block taken one letter short"),
     Mutant("_scan_py.py", 'w.find(b"000", 0, _PREFIX)', 'w.find(b"000", 0, _PREFIX - 1)',
            "is_member: the searched prefix one letter short"),
     Mutant("_scan_py.py", "if not w:", 'if w == "":',

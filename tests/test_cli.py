@@ -167,6 +167,9 @@ def test_asym_with_exact(capsys):
         code, out, _ = run(capsys, "asym", str(n))
         assert code == 0 and out.startswith(f"n={n} estimate=")
         assert (f" exact={exact} rel_err=" in out) if exact else ("exact=" not in out)
+    # nor below n = 1, where the estimate's own refusal is the one error
+    code, out, err = run(capsys, "asym", "-5")
+    assert (code, out, err) == (2, "", "error: estimate defined for n >= 1 only\n")
 
 
 def test_asym_beyond_float_range(capsys):
@@ -232,9 +235,9 @@ def test_cfl_verify(capsys, monkeypatch):
         (["invert", "x", "(2,2)"], 2, "start letter must be '0' or '1', not 'x'"),
         (["invert", "0", "(0)"], 1, "sequence entries must be positive integers, found 0"),
         (["invert", "0", "(a)"], 2, "non-integer entry in sequence '(a)'"),
-        (["count", "--", "-3"], 2, "N must be nonnegative"),
+        (["count", "--", "-3"], 2, "limit must be nonnegative"),
         (["count", "10001"], 1, "table index 10001 is above the cap of 10000"),
-        (["asym", "0"], 2, "n must be at least 1"),
+        (["asym", "0"], 2, "estimate defined for n >= 1 only"),
         (
             ["asym", str(10**100)],
             1,

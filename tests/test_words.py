@@ -50,6 +50,7 @@ def test_each_wrapper_hands_its_kernel_the_bytes_of_check_word(monkeypatch):
         (find_xxrx_instance, PatternInstance(0, 2)),
         (is_in_l_linear, False),
         (profile, (2, 2, 2)),
+        (avoids_xxrx_naive, False),
     ):
         made.clear()
         read.clear()
