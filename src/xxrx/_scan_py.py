@@ -59,12 +59,6 @@ def _split(w: bytes) -> list[bytes]:
     return (x ^ (x >> 8)).to_bytes(len(w), "big")[1:].split(b"\0")
 
 
-def _blocks(w: bytes) -> list[int]:
-    """Block lengths of a word; a triple letter shows as an interior
-    block of length 1.  The empty word gives [1]."""
-    return [len(run) + 1 for run in _split(w)]
-
-
 def _is_instance(w: bytes | str, s1: int, s2: int) -> bool:
     """True iff w[s1-t:s1], w[s1:s2] reversed and w[s2:s2+t] are one x,
     where t = s2 - s1; the caller keeps 0 < t <= s1 and s2 + t <= len(w).
@@ -131,7 +125,8 @@ def profile_of(w: bytes) -> list[int]:
     """
     if not w:
         return []
-    prof = _blocks(w)
+    # block lengths; a triple letter is an interior block of length 1
+    prof = [len(run) + 1 for run in _split(w)]
     if 1 in prof[1:-1]:
         raise ValueError("word contains a triple letter")
     return prof

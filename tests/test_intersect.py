@@ -12,16 +12,9 @@ from xxrx import (
     avoids_xxrx_naive,
     build_quad_word,
     profile,
-    quad_predicate,
     verify_intersection_claim,
 )
 from xxrx import intersect
-
-
-def test_predicate_examples():
-    assert not quad_predicate(QuadExponents(1, 1, 1, 1))
-    assert quad_predicate(QuadExponents(1, 2, 3, 1))
-    assert not quad_predicate(QuadExponents(2, 1, 1, 2))
 
 
 def test_build_examples():

@@ -81,15 +81,6 @@ def run_bare(code):
     return proc.stdout
 
 
-def test_public_names_are_unique_and_resolve():
-    assert len(set(xxrx.__all__)) == len(xxrx.__all__)
-    namespace = {}
-    exec("from xxrx import *", namespace)
-    assert set(xxrx.__all__) <= namespace.keys()
-    # the table cap and the reconstruct bound are public through the package too
-    assert {"BACKEND", "MAX_RECONSTRUCT_LEN", "MAX_TABLE_LIMIT", "__version__"} <= namespace.keys()
-
-
 def test_public_surface_is_pinned():
     # a name added to or dropped from the API shows here, in review
     assert sorted(xxrx.__all__) == PUBLIC_NAMES
@@ -128,30 +119,22 @@ def test_benchmark_rows_trace_public_functions():
         assert callable(obj), subject
 
 
-def test_cli_import_loads_no_dataclasses_inspect_ast_or_typing():
-    # -S keeps site's own imports out; the records are named tuples, so
-    # the package needs none of these; each command builds its own
-    # table, so the CLI needs no table memo; and the package calls its
-    # kernels from _scan_py, so it needs no _backend, the benchmark's shim
-    code = (
-        "import sys, xxrx.cli; print(xxrx.cli.__file__); "
-        "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'typing', 'xxrx.cache', "
-        "'xxrx._backend') "
-        "if m in sys.modules])"
-    )
-    path, loaded = run_bare(code).split("\n")[:2]
-    assert Path(path).resolve().is_relative_to(SRC)
-    assert loaded == ""
-
-
 def test_cli_loads_only_the_modules_a_command_calls():
-    # the package binds only __version__ at import, and each subcommand
-    # imports what it calls when it runs: check needs words, whose kernel
-    # module _scan_py takes the valley test from sequences
+    # the package binds only __version__ at import, so the CLI loads no
+    # table memo and no _backend, the benchmark's shim; and each
+    # subcommand imports what it calls when it runs: check needs words,
+    # whose kernel module _scan_py takes the valley test from sequences.
+    # -S keeps site's own imports out; the records are named tuples, so
+    # the package needs none of dataclasses, inspect, ast and typing
     show = "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'xxrx'))"
-    out = run_bare(f"import sys, xxrx.cli; {show}; xxrx.cli.main(['check', '000']); {show}")
-    at_import, _, after_check = out.split("\n")[:3]
-    assert at_import == "xxrx xxrx.cli"
+    stdlib = "print(*[m for m in ('dataclasses', 'inspect', 'ast', 'typing') if m in sys.modules])"
+    out = run_bare(
+        f"import sys, xxrx.cli; print(xxrx.cli.__file__); {show}; {stdlib}; "
+        f"xxrx.cli.main(['check', '000']); {show}"
+    )
+    path, at_import, loaded, _, after_check = out.split("\n")[:5]
+    assert Path(path).resolve().is_relative_to(SRC)
+    assert at_import == "xxrx xxrx.cli" and loaded == ""
     assert after_check == "xxrx xxrx._scan_py xxrx.cli xxrx.sequences xxrx.words"
 
 

@@ -8,7 +8,6 @@ from helpers import compositions, distinct_partitions, has_equal_peak, ref_in_x_
 from xxrx import (
     NotInXError,
     PartitionPair,
-    format_sequence,
     in_x,
     parse_sequence,
     sequence_to_pairs,
@@ -101,17 +100,6 @@ def test_pair_to_sequence_lands_in_x(p):
     s = p.lam + p.mu[::-1]
     assert in_x(s)
     assert p in sequence_to_pairs(s)
-
-
-def test_format_sequence_and_pair():
-    assert format_sequence((1, 3, 2)) == "(1,3,2)"
-    assert format_sequence(()) == "()"
-    # a pair renders as its two parts, as README's API notes spell it
-    for pair, want in (
-        (PartitionPair((1, 3), (2,)), "λ=(1,3);μ=(2)"),
-        (PartitionPair((), ()), "λ=();μ=()"),
-    ):
-        assert f"λ={format_sequence(pair.lam)};μ={format_sequence(pair.mu)}" == want
 
 
 def test_parse_sequence():
