@@ -25,18 +25,27 @@ def test_brute_count_words_reaches_the_length_cap():
         assert brute_count_words(n) == c[n]
 
 
-def test_brute_count_words_guard():
-    with pytest.raises(ValueError):
-        brute_count_words(25)
-    with pytest.raises(ValueError):
-        brute_count_words(-1)
-
-
-def test_brute_count_x_guard():
-    with pytest.raises(ValueError):
-        brute_count_x(41)
-    with pytest.raises(ValueError):
-        brute_count_x(-1)
+def test_range_guards_raise_at_the_call():
+    # the iterators refuse at the call: no next() is needed for the error
+    words_cap = "brute-force word count limited to 0 <= n <= 24"
+    seq_cap = "brute-force sequence scan limited to 0 <= n <= 40"
+    letter = "start letter must be '0' or '1', not "
+    for call, want in [
+        (lambda: brute_count_words(25), words_cap),
+        (lambda: brute_count_words(-1), words_cap),
+        (lambda: brute_count_x(41), seq_cap),
+        (lambda: brute_count_x(-1), seq_cap),
+        (lambda: iter_words_in_l(30), "brute-force word scan limited to 0 <= n <= 24"),
+        (lambda: iter_x_sequences(99), seq_cap),
+        (lambda: cross_check(25, 0), "word side limited to 0 <= n <= 24"),
+        (lambda: cross_check(0, 41), "sequence side limited to 0 <= n <= 40"),
+        (lambda: iter_words_in_l(3, "2"), letter + "'2'"),
+        (lambda: iter_words_in_l(3, 5), letter + "5"),
+        (lambda: iter_words_in_l(3, "x" * 300), letter + f"'{'x' * 60}'…"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == want
 
 
 def test_iter_x_sequences_equals_unpruned_filter():
@@ -57,22 +66,6 @@ def test_iter_words_in_l_matches_naive_filter():
         assert got_one == ([""] if n == 0 else one)
 
 
-def test_iterators_validate_arguments_at_the_call():
-    # no next() is needed for the error
-    for call in (
-        lambda: iter_words_in_l(30),
-        lambda: iter_words_in_l(3, "2"),
-        lambda: iter_x_sequences(99),
-    ):
-        with pytest.raises(ValueError):
-            call()
-    with pytest.raises(ValueError, match="not 5$"):
-        iter_words_in_l(3, 5)
-    with pytest.raises(ValueError) as info:
-        iter_words_in_l(3, "x" * 300)
-    assert str(info.value) == f"start letter must be '0' or '1', not '{'x' * 60}'…"
-
-
 def test_cross_check_small_ranges_clean():
     assert cross_check(0, 0).ok
     report = cross_check(8, 12)
@@ -80,13 +73,6 @@ def test_cross_check_small_ranges_clean():
     assert report.discrepancies == ()
     assert "all counts agree" in report.as_text()
     assert report.as_csv() == "n,side,expected,got\n"
-
-
-def test_cross_check_guards():
-    with pytest.raises(ValueError):
-        cross_check(25, 0)
-    with pytest.raises(ValueError):
-        cross_check(0, 41)
 
 
 def test_report_rendering_with_rows():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from helpers import all_words, complement, ref_profile, valid_profiles
 from xxrx import (
-    FactorDomainError,
     Factorization,
     ProfileError,
     avoids_xxrx_naive,
@@ -34,23 +33,6 @@ def test_factorize_examples():
     assert factorize("0101") == Factorization("0", (4,))
 
 
-def test_factorize_rejects_tripled_letters():
-    for w in ("000", "111", "0111", "0100010"):
-        with pytest.raises(FactorDomainError):
-            factorize(w)
-        with pytest.raises(FactorDomainError):
-            profile(w)
-
-
-def test_profile_rejects_a_bad_symbol_before_the_domain_check():
-    # a bad symbol is a plain ValueError (CLI exit 2), not a domain
-    # rejection (exit 1), even in a word whose triple would be one
-    for w in ("0x0", "0002"):
-        with pytest.raises(ValueError) as info:
-            profile(w)
-        assert not isinstance(info.value, FactorDomainError)
-
-
 def test_reconstruct_examples():
     assert reconstruct("0", (4, 4, 4)) == "010110100101"
     assert reconstruct("1", (1, 1)) == "11"
@@ -71,7 +53,7 @@ def test_reconstruct_rejects_bad_profiles():
     # only the empty profile goes without a start letter
     with pytest.raises(ValueError):
         reconstruct(None, (2,))
-    with pytest.raises(ProfileError):
+    with pytest.raises(ProfileError, match=r"^profile weight 10000001 exceeds 10000000 letters$"):
         reconstruct("0", (MAX_RECONSTRUCT_LEN, 1))
     assert len(reconstruct("0", (MAX_RECONSTRUCT_LEN - 1, 1))) == MAX_RECONSTRUCT_LEN
 

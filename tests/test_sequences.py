@@ -23,8 +23,15 @@ def test_in_x_examples():
     assert in_x(())
 
 
-@pytest.mark.parametrize("bad", [(0,), (3, -1), (1, 0, 1), (2, 1.5), (1, "2", 1)])
-def test_in_x_rejects_entries_as_classify_does(bad):
+@pytest.mark.parametrize(
+    "bad",
+    [
+        pytest.param((0,), id="zero"),
+        pytest.param((1, 0, 1), id="interior-zero"),
+        pytest.param((1, "2", 1), id="str-entry"),
+    ],
+)
+def test_in_x_rejects_bad_entries(bad):
     # the message names the first bad entry, whatever iterable holds it,
     # as every entry point that checks sequence entries words it
     first = next(d for d in bad if not isinstance(d, int) or d < 1)
@@ -74,7 +81,7 @@ def test_pairs_reproduce_their_sequence():
                 assert p.lam + p.mu[::-1] == s
 
 
-def test_in_x_is_classify_without_the_witness():
+def test_in_x_matches_the_template_on_every_composition_to_14():
     # the membership verdict, with no peak or valley witness attached,
     # for any iterable of entries
     for n in range(15):
@@ -110,6 +117,8 @@ def test_parse_sequence():
     for text in ("1,3,2", "(1,3", "1,3)", "(1,a)"):
         with pytest.raises(ValueError):
             parse_sequence(text)
+    with pytest.raises(ValueError, match=r"^expected a parenthesized sequence, got '1,1'$"):
+        parse_sequence("1,1")
     # a comma with no entry before it is not a trailing comma, and a
     # text of 60 characters is echoed whole
     for text in ("(,)", "( , )", "(" + "x" * 58 + ")"):
