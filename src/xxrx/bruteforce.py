@@ -2,17 +2,19 @@
 
 Everything here recounts from the definitions, with one depth-first
 walk per side.  The word side grows the words avoiding x x^R x letter
-by letter, testing each new letter with ``_scan_py._is_instance``;
-the sequence side grows valley-free sequences entry by entry, trying
-only the entries that leave the newest interior entry no valley.  Both
-sets are prefix-closed, so one walk to the cap reaches, in preorder,
-every member up to the cap.  The walk itself counts the members of
-every size and keeps those of the sizes asked for: the counts at every
-size, the listings of one size and the bijection check all read from
-it.  A member is counted where it is made, and the walk recurses only
-into one that may have a child.  Neither walk consults the series
-tables they are used to check, or any profile theory, which is what
-makes a match evidential.  Hard range guards keep runs at desk scale.
+by letter, testing each new letter with ``_scan_py._is_instance`` and
+never trying a third equal letter in a row, which would end in x x^R x
+with |x| = 1; the sequence side grows valley-free sequences entry by
+entry, trying only the entries that leave the newest interior entry no
+valley.  Both sets are prefix-closed, so one walk to the cap reaches,
+in preorder, every member up to the cap.  The walk itself counts the
+members of every size and keeps those of the sizes asked for: the
+counts at every size, the listings of one size and the bijection check
+all read from it.  A member is counted where it is made, and the walk
+recurses only into one that may have a child.  Neither walk consults
+the series tables they are used to check, or any profile theory, which
+is what makes a match evidential.  Hard range guards keep runs at desk
+scale.
 """
 
 from __future__ import annotations
@@ -75,9 +77,12 @@ def _walk_words(
     The language is factor-closed, so every prefix of a member is a
     member: depth-first growth that keeps a word only while no instance
     ends at its newest letter reaches every member and nothing but
-    members.  '0' is tried before '1', so the members of any one length
-    are reached in numeric order.  A member is counted where it is made,
-    and extended only if it is shorter than n.
+    members.  A member that ends in a doubled letter is not offered that
+    letter again: the child would end in a triple, x x^R x with |x| = 1,
+    so it is no member, and nothing is lost by not making it.  Every
+    child that is made is tested.  '0' is tried before '1', so the
+    members of any one length are reached in numeric order.  A member is
+    counted where it is made, and extended only if it is shorter than n.
     """
     counts = [1] + [0] * n
     kept: dict[int, list[str]] = {k: [] if k else [""] for k in keep}
@@ -86,10 +91,17 @@ def _walk_words(
         # w: a member of length k < n; counts, keeps and extends its
         # children, of length m
         m = k + 1
+        last = w[-1:]
         for letter in "01" if k else first_letters:
+            if letter == last:
+                # w ends in a doubled letter when a block starts at k - 1
+                if starts[-1:] == (k - 1,):
+                    continue
+                # a doubled letter at index k starts a block
+                grown = starts + (k,)
+            else:
+                grown = starts
             child = w + letter
-            # a doubled letter at index k starts a block
-            grown = starts + (k,) if letter == w[-1:] else starts
             if not _ends_in_instance(child, grown):
                 counts[m] += 1
                 if m in kept:

@@ -53,5 +53,6 @@ def find_xxrx_instance(w: str) -> PatternInstance | None:
 def avoids_xxrx_naive(w: str) -> bool:
     """True iff the word has no x x^R x instance: the block-end scan of
     ``_scan_py.scan_xxrx``, called directly on check_word's bytes, finds
-    none.  The name is older than that scan, and kept for its callers."""
+    none.  The name is older than that scan.  It is the public scan of
+    one word, which the gates and tests use."""
     return scan_xxrx(check_word(w)) is None

@@ -147,7 +147,7 @@ MUTANTS = [
     # the two walks and the bijection check
     Mutant("bruteforce.py", "if 3 * s2 < 2 * m:", "if 3 * s2 <= 2 * m:",
            "_ends_in_instance: < as <="),
-    Mutant("bruteforce.py", "if letter == w[-1:] else starts", "if letter != w[-1:] else starts",
+    Mutant("bruteforce.py", "if letter == last:", "if letter != last:",
            "_walk_words: block starts at the undoubled letters"),
     Mutant("bruteforce.py", '"01" if k else first_letters', 'first_letters if k else "01"',
            "_walk_words: first_letters applied past the first letter"),
@@ -334,6 +334,15 @@ MUTANTS = [
             ("bruteforce.py", "CrossCheckReport", "max_word_len"),
         ]
     ),
+    # the word walk's triple prune, and the quadruple scan's bytes words
+    Mutant("bruteforce.py", "== (k - 1,)", "== (k,)",
+           "_walk_words: the triple prune off"),
+    Mutant("bruteforce.py", "== (k - 1,)", "== (k - 2,)",
+           "_walk_words: the triple prune one letter early"),
+    Mutant("intersect.py", 'b"01" * i + b"10" * j', 'b"01" * j + b"10" * i',
+           "verify_intersection_claim: i and j swapped in the head"),
+    Mutant("intersect.py", "scan_xxrx(head + tail) is None", "scan_xxrx(head + tail) is not None",
+           "verify_intersection_claim: the verdict inverted"),
 ]
 
 

@@ -99,6 +99,22 @@ def test_doubled_centre_scan_agrees_with_every_t_scan():
             assert got == _ends_in_instance_every_t(w), w
 
 
+def test_walk_never_tries_a_tripled_letter(monkeypatch):
+    real, tested = bruteforce._ends_in_instance, []
+
+    def recorded(w, starts):
+        tested.append(w)
+        return real(w, starts)
+
+    monkeypatch.setattr(bruteforce, "_ends_in_instance", recorded)
+    bruteforce._walk_words(14)
+    assert not [w for w in tested if w.endswith(("000", "111"))]
+    # a member tries both letters, but one that ends in a doubled letter
+    # only the other: the empty word gives 2
+    members = [u for n in range(14) for u in all_words(n) if avoids_xxrx_naive(u)]
+    assert len(tested) == sum(1 if u[-2:] in ("00", "11") else 2 for u in members)
+
+
 def test_cross_check_at_both_caps():
     # one walk per side, inside a 30 s budget
     start = time.perf_counter()

@@ -61,3 +61,10 @@ def test_mismatches_are_records_in_product_order(monkeypatch):
     assert report.as_csv() == "i,j,k,l,in_L,predicate\n" + "".join(
         f"{i},{j},{k},{l},false,true\n" for i, j, k, l in want
     )
+    # the loop builds its words as bytes: they are build_quad_word's words
+    wide = verify_intersection_claim(6)
+    assert [c.exponents for c in wide.mismatches] == [
+        e
+        for e in itertools.product(range(1, 7), repeat=4)
+        if not avoids_xxrx_naive(build_quad_word(e))
+    ]
