@@ -30,6 +30,29 @@ product of (1 - q^j) over j >= 1, in O(N^1.5) additions each:
 * t2 = u_tilde - 1 - 2U exactly: (1 + q^(p+1))^2 - 1 = 2 q^(p+1) +
   q^(2p+2); times the product of (1 + q^j)^2 for j <= p, it telescopes
   over p.  So v = u_tilde - U, which is how CountTable.build takes it.
+
+Each valley-free sequence has one or two pair encodings
+(``sequence_to_pairs``), so u_tilde/2 <= v <= u_tilde, and with c = 2v,
+u_tilde <= c <= 2 u_tilde; verify_bounds checks this sandwich.  From it,
+c(n) grows faster than any polynomial and slower than any exponential:
+for every n >= 1,
+
+    2^(k+1) <= c(n) <= 2 exp(pi sqrt(2n/3)),  k = max{k >= 0 : k(k+3)/2 < n}.
+
+* Upper bound: the series of u_tilde has nonnegative coefficients, so
+  at q = exp(-e), for any e > 0, its term u_tilde(n) q^n is at most the
+  product of (1 + exp(-j e))^2 over j >= 1.  log(1 + exp(-x)) falls
+  with x, so its sum over j >= 1 at x = j e is at most its integral
+  over x > 0 divided by e, (pi^2/12) / e.  So u_tilde(n) <=
+  exp(n e + pi^2 / (6 e)), which at e = pi / sqrt(6n) is
+  exp(pi sqrt(2n/3)).
+* Lower bound: when k(k+3)/2 < n, each subset S of {1, ..., k}, with
+  the part n - sum(S) > k added, is a distinct partition lam of n, so
+  there are at least 2^k of them.  The pairs (lam, ()) and ((), lam)
+  give u_tilde(n) >= 2^(k+1), and c >= u_tilde.
+
+As n grows, the bracket of log c(n) / sqrt(n) tends to
+[sqrt(2) log 2, pi sqrt(2/3)], about [0.98, 2.565].
 """
 
 from __future__ import annotations
@@ -203,9 +226,12 @@ class AsymptoticEstimate(
 
 def asymptotic_u_tilde(n: int, exact: int | None = None) -> AsymptoticEstimate:
     """Evaluate sqrt(3) (24n-1)^(-3/4) exp((pi/6) sqrt(24n-1))
-    (1 + (pi^2-9) / (4 pi sqrt(24n-1)))."""
+    (1 + (pi^2-9) / (4 pi sqrt(24n-1))).  The exact value, if given,
+    must be positive."""
     if n < 1:
         raise ValueError("estimate defined for n >= 1 only")
+    if exact is not None and exact <= 0:
+        raise ValueError(f"exact value must be positive, got {exact}")
     m = 24 * n - 1
     try:
         root = math.sqrt(m)

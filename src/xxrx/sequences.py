@@ -88,20 +88,21 @@ class PartitionPair(namedtuple("PartitionPair", "lam mu")):
 def sequence_to_pairs(seq: Iterable[int]) -> set[PartitionPair]:
     """All pairs that encode the given valley-free sequence.
 
-    Every cut point whose prefix rises strictly and whose suffix falls
-    strictly yields a pair; there are exactly two for a strict peak (the
-    peak may go to either side), one when the maxima are an equal pair,
-    and one for the empty sequence.
+    A cut yields a pair when its prefix rises strictly and its suffix
+    falls strictly.  Let top index the first maximum.  A cut left of top
+    leaves a rise in the suffix, and a cut right of top + 1 leaves the
+    peak inside a falling prefix, so only the cuts before and after top
+    can qualify.  The cut after it always does; the cut before it does
+    exactly when the peak is strict.  So there are two pairs for a
+    strict peak (the peak may go to either side), one when the maxima
+    are an equal pair, and one for the empty sequence.
     """
     s = _entries(seq)
     if _has_valley(s):
         raise NotInXError(f"sequence {s} has a valley; no pair encoding exists")
-    out = set()
-    for cut in range(len(s) + 1):
-        lam, mu = s[:cut], s[cut:][::-1]
-        if _strictly_increasing(lam) and _strictly_increasing(mu):
-            out.add(PartitionPair(lam, mu))
-    return out
+    top = max(range(len(s)), key=s.__getitem__, default=0)
+    cuts = (top, top + 1) if _strictly_increasing(s[top:][::-1]) else (top + 1,)
+    return {PartitionPair(s[:cut], s[cut:][::-1]) for cut in cuts}
 
 
 def format_sequence(seq: Iterable[int]) -> str:

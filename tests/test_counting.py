@@ -97,10 +97,17 @@ def test_table_at_the_cap():
     prefix = CountTable.build(2000)
     for name in ("u_tilde", "v", "c"):
         assert table.column(name)[:2001] == prefix.column(name)
+    # and the growth theorem (module docstring): the lower bound in
+    # integers, the upper in logs, where its slack is at least 2.5
+    k = 0
     for n in range(1, MAX_TABLE_LIMIT + 1):
         u, v, c = table.u_tilde[n], table.v[n], table.c[n]
         assert u <= 2 * v and v <= u
         assert u <= c <= 2 * u
+        if (k + 1) * (k + 4) // 2 < n:
+            k += 1
+        assert c >= 1 << (k + 1)
+        assert math.log(c) <= math.log(2) + math.pi * math.sqrt(2 * n / 3)
     # measured 1.222e-5, about the dropped 1/n correction
     err = asymptotic_u_tilde(MAX_TABLE_LIMIT, table.u_tilde[-1]).relative_error_vs_exact
     assert err < 1.3e-5
@@ -180,6 +187,11 @@ def test_asymptotic_domain():
     # math.sqrt(-1) raises a ValueError too; this one names the domain
     with pytest.raises(ValueError, match="n >= 1"):
         asymptotic_u_tilde(0)
+    # a nonpositive exact value is refused with one message, on the
+    # finite path and past the float range alike
+    for n, exact in ((5, 0), (5, -3), (10**5, 0)):
+        with pytest.raises(ValueError, match=f"^exact value must be positive, got {exact}$"):
+            asymptotic_u_tilde(n, exact)
 
 
 def test_c_strictly_increases_on_computed_range():

@@ -12,6 +12,7 @@ from xxrx import (
     parse_sequence,
     sequence_to_pairs,
 )
+from xxrx import sequences
 
 
 def test_in_x_examples():
@@ -55,7 +56,7 @@ def test_partition_pair_validation():
     assert PartitionPair([1, 3], [2]).lam == (1, 3)  # coerced to tuples
 
 
-def test_sequence_to_pairs_examples():
+def test_sequence_to_pairs_examples(monkeypatch):
     assert sequence_to_pairs((1, 3, 2)) == {
         PartitionPair((1, 3), (2,)),
         PartitionPair((1,), (2, 3)),
@@ -63,6 +64,27 @@ def test_sequence_to_pairs_examples():
     assert sequence_to_pairs((2, 2)) == {PartitionPair((2,), (2,))}
     assert sequence_to_pairs(()) == {PartitionPair((), ())}
     assert len(sequence_to_pairs((7,))) == 2
+    # a peak at either end
+    k = 6
+    rise, fall = tuple(range(1, k + 1)), tuple(range(k, 0, -1))
+    assert sequence_to_pairs(rise) == {PartitionPair(rise, ()), PartitionPair(rise[:-1], (k,))}
+    assert sequence_to_pairs(fall) == {PartitionPair((), rise), PartitionPair((k,), rise[:-1])}
+    # long mountains, strict and equal-peak: only the two cuts beside the
+    # first maximum are tested, so the run tests do not grow with length
+    real, calls = sequences._strictly_increasing, []
+
+    def counted(parts):
+        calls.append(parts)
+        return real(parts)
+
+    monkeypatch.setattr(sequences, "_strictly_increasing", counted)
+    up = tuple(range(1, 4001))
+    for s, want in ((up + up[-2::-1], 2), (up + up[::-1], 1)):
+        calls.clear()
+        pairs = sequence_to_pairs(s)
+        assert len(pairs) == want
+        assert all(p.lam + p.mu[::-1] == s for p in pairs)
+        assert len(calls) <= 5
 
 
 def test_sequence_to_pairs_requires_valley_free():
