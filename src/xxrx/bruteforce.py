@@ -11,7 +11,13 @@ in preorder, every member up to the cap.  The walk itself counts the
 members of every size and keeps those of the sizes asked for: the
 counts at every size, the listings of one size and the bijection check
 all read from it.  A member is counted where it is made, and the walk
-recurses only into one that may have a child.  Neither walk consults
+recurses only into one that may have a child.  Each parent passes its
+child what it just learnt in making it, rather than have the child
+derive it again: a word's last letter and whether it ends doubled, a
+sequence's last entry and the largest entry that may follow.  A
+sequence that only the entry 1 may follow has that one child and no
+grandchild, so its parent counts that leaf in place instead of making
+a call that would do only that.  Neither walk consults
 the series tables they are used to check, or any profile theory, which
 is what makes a match evidential.  Hard range guards keep runs at desk
 scale.
@@ -80,22 +86,24 @@ def _walk_words(
     members.  A member that ends in a doubled letter is not offered that
     letter again: the child would end in a triple, x x^R x with |x| = 1,
     so it is no member, and nothing is lost by not making it.  Every
-    child that is made is tested.  '0' is tried before '1', so the
-    members of any one length are reached in numeric order.  A member is
+    child that is made is tested.  The parent appended the child's last
+    letter, and knows whether it equals its own, so it hands the child
+    both: that letter, and whether the child ends in a doubled letter.
+    '0' is tried before '1', so the members of any one length are
+    reached in numeric order.  A member is
     counted where it is made, and extended only if it is shorter than n.
     """
     counts = [1] + [0] * n
     kept: dict[int, list[str]] = {k: [] if k else [""] for k in keep}
 
-    def extend(w: str, k: int, starts: tuple[int, ...]) -> None:
-        # w: a member of length k < n; counts, keeps and extends its
-        # children, of length m
+    def extend(w: str, k: int, starts: tuple[int, ...], last: str, doubled: bool) -> None:
+        # w: a member of length k < n, with last letter last ("" if
+        # empty), ending in a doubled letter iff doubled; counts, keeps
+        # and extends its children, of length m
         m = k + 1
-        last = w[-1:]
         for letter in "01" if k else first_letters:
             if letter == last:
-                # w ends in a doubled letter when a block starts at k - 1
-                if starts[-1:] == (k - 1,):
+                if doubled:
                     continue
                 # a doubled letter at index k starts a block
                 grown = starts + (k,)
@@ -107,10 +115,10 @@ def _walk_words(
                 if m in kept:
                     kept[m].append(child)
                 if m < n:
-                    extend(child, m, grown)
+                    extend(child, m, grown, letter, letter == last)
 
     if n:
-        extend("", 0, ())
+        extend("", 0, (), "", False)
     # extend refers to itself: dropping the name frees it, and the lists
     # it holds, now rather than at the next cycle collection
     del extend
@@ -136,17 +144,23 @@ def _walk_sequences(
     letter.  Entries are tried smallest first, so the members of any one
     weight are reached in lexicographic order.  A member is counted
     where it is made, and extended only if some entry may follow it.
-    Each node carries its last entry, and is built as a tuple only up to
-    the heaviest weight kept: above it only the counts are needed.
+    When only the entry 1 may follow it, that one child ends the branch:
+    its last step, to 1, does not rise, so only entries below 1 may
+    follow it, and there are none.  The parent counts, and keeps, that
+    leaf in place; a call would do nothing more, and at weight 22 these
+    leaves are about half the nodes the walk would call.  Each node
+    carries its last entry, and is built as a tuple only up to the
+    heaviest weight kept: above it only the counts are needed.
     """
     counts = [1] + [0] * n
     kept: dict[int, list[tuple[int, ...]]] = {k: [] if k else [()] for k in keep}
     deepest = max(kept, default=0)
 
     def extend(s: tuple[int, ...], k: int, top: int, last: int) -> None:
-        # top >= 1: the largest entry that may follow s, of weight k and
-        # last entry last (0 if empty).  Past deepest no tuple is built:
-        # the s handed down there is a stale prefix, and is never read
+        # top: the largest entry that may follow s, of weight k and last
+        # entry last (0 if empty); at least 2, or 1 for the root.  Past
+        # deepest no tuple is built: the s handed down there is a stale
+        # prefix, and is never read
         child = s
         for d in range(1, top + 1):
             weight = k + d
@@ -158,7 +172,12 @@ def _walk_sequences(
             room = n - weight
             if last >= d and room >= d:
                 room = d - 1
-            if room:
+            if room == 1:
+                # the one child, entry 1, has room 0: counted here
+                counts[weight + 1] += 1
+                if weight + 1 in kept:
+                    kept[weight + 1].append(child + (1,))
+            elif room:
                 extend(child, weight, room, d)
 
     if n:

@@ -76,8 +76,8 @@ __all__ = [
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 _FLOAT_MAX_INT = int(sys.float_info.max)
 
-# largest N that `xxrx count` tabulates:
-# CountTable.build(10_000) takes ~0.24 s on a 2-vCPU Xeon (Python 3.11)
+# largest N that `xxrx count` tabulates: a cold build at it must stay
+# inside the 10 s budget of test_counting::test_table_at_the_cap
 MAX_TABLE_LIMIT = 10_000
 
 COLUMN_ALIASES = {"u": "u_tilde", "u_tilde": "u_tilde", "v": "v", "c": "c"}

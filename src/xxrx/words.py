@@ -25,9 +25,13 @@ __all__ = [
 
 
 def check_word(w: str) -> bytes:
-    """The ASCII bytes of w; raise ValueError on symbols outside {'0','1'}."""
+    """The ASCII bytes of w; raise ValueError on symbols outside {'0','1'},
+    and TypeError if w is not a str."""
     # every non-ASCII character encodes as '?', so anything left is a bad symbol
-    b = w.encode("ascii", "replace")
+    try:
+        b = w.encode("ascii", "replace")
+    except AttributeError:
+        raise TypeError(f"word must be a str, not {type(w).__name__}") from None
     if b.translate(None, b"01"):
         bad = next(ch for ch in w if ch not in "01")
         raise ValueError(f"word symbols must be '0' or '1', found {bad!r}")

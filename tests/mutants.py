@@ -334,10 +334,10 @@ MUTANTS = [
         ]
     ),
     # the word walk's triple prune, and the quadruple scan's bytes words
-    Mutant("bruteforce.py", "== (k - 1,)", "== (k,)",
+    Mutant("bruteforce.py", "letter, letter == last)", "letter, False)",
            "_walk_words: the triple prune off"),
-    Mutant("bruteforce.py", "== (k - 1,)", "== (k - 2,)",
-           "_walk_words: the triple prune one letter early"),
+    Mutant("bruteforce.py", "letter, letter == last)", "letter, letter != last)",
+           "_walk_words: the doubled flag inverted"),
     Mutant("intersect.py", 'b"01" * i + b"10" * j', 'b"01" * j + b"10" * i',
            "verify_intersection_claim: i and j swapped in the head"),
     Mutant("intersect.py", "scan_xxrx(head + tail) is None", "scan_xxrx(head + tail) is not None",
@@ -351,6 +351,18 @@ MUTANTS = [
            "sequence_to_pairs: the first maximum found as the last one"),
     Mutant("counting.py", "exact <= 0:", "exact < 0:",
            "asymptotic_u_tilde: an exact value of 0 accepted"),
+    # the letter and flag each word node is handed, the sequence walk's
+    # in-place leaf, and a word that is not a str
+    Mutant("bruteforce.py", "grown, letter, letter", "grown, last, letter",
+           "_walk_words: the parent's last letter handed down"),
+    Mutant("bruteforce.py", "counts[weight + 1] += 1", "counts[weight] += 1",
+           "_walk_sequences: the in-place leaf counted one weight light"),
+    Mutant("bruteforce.py", "append(child + (1,))", "append(child)",
+           "_walk_sequences: the in-place leaf kept as its parent"),
+    Mutant("bruteforce.py", "if room == 1:", "if False:",
+           "_walk_sequences: the in-place leaf off"),
+    Mutant("words.py", "except AttributeError:", "except TypeError:",
+           "check_word: a word that is not a str raises AttributeError"),
 ]
 
 

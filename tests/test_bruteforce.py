@@ -1,3 +1,4 @@
+import sys
 import time
 
 import pytest
@@ -120,3 +121,29 @@ def test_cross_check_at_both_caps():
     start = time.perf_counter()
     assert cross_check(MAX_BRUTE_WORD_LEN, MAX_BRUTE_SEQ_WEIGHT).ok
     assert time.perf_counter() - start < 30
+
+
+def test_sequence_walk_calls_only_nodes_with_room_two():
+    # a node with room 1 has one child, entry 1, with room 0: the walk
+    # counts it in place, so only the root and the nodes with room >= 2
+    # are calls of extend
+    code = next(c for c in bruteforce._walk_sequences.__code__.co_consts
+                if getattr(c, "co_name", None) == "extend")
+
+    def room(s, n):
+        r = n - sum(s)
+        return min(r, s[-1] - 1) if len(s) >= 2 and s[-2] >= s[-1] else r
+
+    def count(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls[0] += 1
+
+    for n in (12, 22):
+        calls = [0]
+        sys.setprofile(count)
+        try:
+            bruteforce._walk_sequences(n)
+        finally:
+            sys.setprofile(None)
+        want = 1 + sum(room(s, n) >= 2 for k in range(1, n) for s in iter_x_sequences(k))
+        assert calls[0] == want

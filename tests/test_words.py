@@ -66,6 +66,10 @@ def test_check_word_rejects_other_symbols():
         with pytest.raises(ValueError) as info:
             check_word(word)
         assert str(info.value) == f"word symbols must be '0' or '1', found {bad}"
+    for word, kind in ((b"01", "bytes"), (None, "NoneType"), (101, "int")):
+        with pytest.raises(TypeError) as info:
+            check_word(word)
+        assert str(info.value) == f"word must be a str, not {kind}"
 
 
 def test_find_xxrx_worked_example():
